@@ -1,15 +1,17 @@
 """Command-line surface: evaluation, verification, denoising, experiments.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 verification tolerance
-exceeded, 4 solver non-convergence. Every run with identical flags and inputs
-produces byte-identical outputs; report files carry a version/config-hash
-header line for reproducibility.
+Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input
+(including non-finite values), 3 verification tolerance exceeded, 4 solver
+non-convergence. Every run with identical flags and inputs produces
+byte-identical outputs; report files carry a version/config-hash header line
+for reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -61,8 +63,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_signal_csv(path: str) -> np.ndarray:
-    """One real per line; ``#`` comments skipped; an optional single header
-    line is tolerated."""
+    """One finite real per line; ``#`` comments skipped; an optional single
+    header line is tolerated."""
     values = []
     header_seen = False
     try:
@@ -75,13 +77,16 @@ def read_signal_csv(path: str) -> np.ndarray:
         if not text:
             continue
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError:
             if not values and not header_seen:
                 header_seen = True
                 continue
             raise InputFormatError(
                 f"{path}:{lineno}: not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise InputFormatError(f"{path}:{lineno}: not finite: {text!r}")
+        values.append(value)
     if not values:
         raise InputFormatError(f"{path}: no numeric data found")
     return np.asarray(values, dtype=float)
@@ -203,10 +208,6 @@ def image_from_pgm(arr: np.ndarray) -> Image2D:
         raise InputFormatError(
             f"square image required, got {arr.shape[0]}x{arr.shape[1]}")
     return Image2D(arr.copy())
-
-
-def image_to_pgm_array(img_coeffs: np.ndarray) -> np.ndarray:
-    return np.asarray(img_coeffs, dtype=float)
 
 
 def _config_hash(options: dict) -> str:
@@ -422,8 +423,7 @@ def _cmd_denoise(args) -> int:
     if args.out.lower().endswith((".pgm", ".pnm")):
         if dim != 2:
             raise UsageError("PGM output requires a 2D input")
-        write_pgm(args.out, image_to_pgm_array(result.minimizer),
-                  maxval=maxval or 255)
+        write_pgm(args.out, result.minimizer, maxval=maxval or 255)
     else:
         write_signal_csv(args.out, result.minimizer.ravel(),
                          _report_header(options))

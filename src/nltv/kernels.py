@@ -101,16 +101,6 @@ def kernel_eval(kernel: Kernel, x) -> float:
     return radial_profile(kernel, float(np.sqrt(np.sum(pt * pt))))
 
 
-def kernel_mass(kernel: Kernel) -> float:
-    """Integral of the mollifier over R^dim.
-
-    Every member of the family is normalized so that height x support measure
-    equals one exactly; the analytic value is returned rather than the rounded
-    float product.
-    """
-    return 1.0
-
-
 def _kpn_integrand(theta: np.ndarray, p: float) -> np.ndarray:
     return np.abs(np.cos(theta)) ** p
 

@@ -5,8 +5,9 @@ The energy is
     F(f) = cell_measure * 1/2 * sum (f - data)^2  +  alpha / K_{p,dim} * R(f)
 
 where R is the nonlocal functional of the configured scheme. For the schemes
-handled here R reduces to a weighted sum of |f_i - f_j|^p over cell pairs, so
-minimization is a graph-TV (p = 1) or graph-Dirichlet (p = 2) problem:
+handled here R reduces to a weighted sum of |f_i - f_j|^p over the cell pairs
+at a few fixed offsets (a :class:`~nltv.stencil.Stencil`), so minimization is
+a graph-TV (p = 1) or graph-Dirichlet (p = 2) problem:
 
 * ``pd``: an accelerated first-order primal-dual scheme; each pair carries one
   dual variable, constrained to [-w, w] when p = 1. Exact nonsmooth handling,
@@ -28,9 +29,9 @@ from typing import Optional
 import numpy as np
 
 from .kernels import Kernel, KernelKind, kpn
-from .oracle import GAUSS, OracleConfig, geometric_factor_1d, geometric_factor_2d
-from .schemes_1d import PiecewiseConstant1D, eval_pc_box, eval_pc_box_wide
-from .schemes_2d import Image2D, eval_image, stencil_weights
+from .oracle import GAUSS, OracleConfig, oracle_stencil
+from .schemes_2d import stencil_weights
+from .stencil import Stencil
 
 SCHEME_CLOSED_1D = "closed_form_1d"
 SCHEME_CLOSED_2D = "closed_form_2d"
@@ -153,114 +154,28 @@ class GammaRow:
 
 
 # ---------------------------------------------------------------------------
-# pairwise representation of the regularizer
+# the regularizer as an (offset, weight) stencil
 
 
-def _oracle_cfg(params: EnergyParams) -> OracleConfig:
-    return OracleConfig(method=GAUSS, points_per_cell_axis=params.oracle_points,
-                        p=params.p)
-
-
-def regularizer_pairs(params: EnergyParams):
-    """Index pairs (I, J) and weights W with R(f) = sum W |f_I - f_J|^p over
-    the flattened coefficient vector."""
+def regularizer_stencil(params: EnergyParams) -> Stencil:
+    """The stencil with R(f) = sum w |f_i - f_{i+o}|^p over the grid."""
     n = params.grid_n
     kind = params.kernel.kind
     if params.scheme == SCHEME_CLOSED_1D:
         if kind is KernelKind.BOX1D:
-            i = np.arange(n - 1)
-            return i, i + 1, np.ones(n - 1)
-        if kind is KernelKind.BOX1D_WIDE:
-            if n < 2:
-                raise ValueError("the double-width scheme needs n >= 2")
-            i1 = np.arange(n - 1)
-            i2 = np.arange(n - 2)
-            idx_i = np.concatenate([i1, i2])
-            idx_j = np.concatenate([i1 + 1, i2 + 2])
-            w = np.concatenate([np.full(n - 1, math.log(2.0)),
-                                np.full(n - 2, 0.5 * (1.0 - math.log(2.0)))])
-            return idx_i, idx_j, w
-        raise ValueError(f"no closed 1D scheme for kernel {kind}")
+            return Stencil((n,), [((1,), 1.0)])
+        if n < 2:
+            raise ValueError("the double-width scheme needs n >= 2")
+        return Stencil((n,), [((1,), math.log(2.0)),
+                              ((2,), 0.5 * (1.0 - math.log(2.0)))])
     if params.scheme == SCHEME_CLOSED_2D:
         w = stencil_weights(kind, n)
-        return _image_pairs(n, [(0, 1, w.lateral), (1, 0, w.lateral),
-                                (1, 1, w.diagonal), (1, -1, w.diagonal)])
+        return Stencil((n, n), [((0, 1), w.lateral), ((1, 0), w.lateral),
+                                ((1, 1), w.diagonal), ((1, -1), w.diagonal)])
     # oracle scheme: weights from numerically integrated geometric factors
-    cfg = _oracle_cfg(params)
-    if params.dim == 1:
-        h = 1.0 / n
-        d_max = int(math.floor(params.kernel.support_radius / h + 1.0 - 1e-12))
-        idx_i, idx_j, weights = [], [], []
-        for d in range(1, min(d_max, n - 1) + 1):
-            fac, _ = geometric_factor_1d(d, n, params.kernel, cfg)
-            if fac <= 0.0:
-                continue
-            i = np.arange(n - d)
-            idx_i.append(i)
-            idx_j.append(i + d)
-            weights.append(np.full(n - d, fac))
-        if not idx_i:
-            return (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
-        return (np.concatenate(idx_i), np.concatenate(idx_j),
-                np.concatenate(weights))
-    h = 1.0 / n
-    reach = int(math.floor(params.kernel.support_radius / h)) + 1
-    offset_weights = []
-    for dx in range(0, reach + 1):
-        for dy in range(-reach, reach + 1):
-            if dx == 0 and dy <= 0:
-                continue
-            gap = math.hypot(max(abs(dx) - 1, 0) * h, max(abs(dy) - 1, 0) * h)
-            if gap >= params.kernel.support_radius:
-                continue
-            fac, _ = geometric_factor_2d((dx, dy), n, params.kernel, cfg)
-            if fac > 0.0:
-                offset_weights.append((dx, dy, fac))
-    return _image_pairs(n, offset_weights)
-
-
-def _image_pairs(n: int, offset_weights):
-    """Flattened pair indices for a list of (dx, dy, weight) offsets on an
-    n x n grid (row-major over (i, j))."""
-    idx_i, idx_j, weights = [], [], []
-    for dx, dy, w in offset_weights:
-        lo_y, hi_y = max(0, -dy), min(n, n - dy)
-        if dx >= n or hi_y <= lo_y:
-            continue
-        ii, jj = np.meshgrid(np.arange(n - dx), np.arange(lo_y, hi_y),
-                             indexing="ij")
-        idx_i.append((ii * n + jj).ravel())
-        idx_j.append(((ii + dx) * n + (jj + dy)).ravel())
-        weights.append(np.full(ii.size, w))
-    if not idx_i:
-        return (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
-    return (np.concatenate(idx_i), np.concatenate(idx_j),
-            np.concatenate(weights))
-
-
-def _pairwise_reg(f_flat: np.ndarray, idx_i, idx_j, w, p: float) -> float:
-    if idx_i.size == 0:
-        return 0.0
-    return float(np.sum(w * np.abs(f_flat[idx_i] - f_flat[idx_j]) ** p))
-
-
-def regularizer_value(f: np.ndarray, params: EnergyParams) -> float:
-    """R(f) evaluated with the configured scheme.
-
-    The closed-form evaluators cover p = 1; for other exponents the schemes'
-    pair structure is kept and the differences are raised to the p-th power.
-    """
-    arr = np.asarray(f, dtype=float)
-    if params.p == 1:
-        if params.scheme == SCHEME_CLOSED_1D:
-            pc = PiecewiseConstant1D(arr)
-            if params.kernel.kind is KernelKind.BOX1D:
-                return eval_pc_box(pc)
-            return eval_pc_box_wide(pc)
-        if params.scheme == SCHEME_CLOSED_2D:
-            return eval_image(Image2D(arr), params.kernel.kind)
-    idx_i, idx_j, w = regularizer_pairs(params)
-    return _pairwise_reg(arr.ravel(), idx_i, idx_j, w, params.p)
+    cfg = OracleConfig(method=GAUSS, points_per_cell_axis=params.oracle_points,
+                       p=params.p)
+    return oracle_stencil(params.kernel, n, cfg)
 
 
 def energy(f, data: DataTerm, params: EnergyParams) -> float:
@@ -268,11 +183,13 @@ def energy(f, data: DataTerm, params: EnergyParams) -> float:
     arr = np.asarray(f, dtype=float)
     if arr.shape != data.data.shape:
         raise ValueError(f"shape mismatch: {arr.shape} vs {data.data.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("f must be finite")
     if data.grid_n != params.grid_n:
         raise ValueError("data grid does not match params.grid_n")
     fid = data.cell_measure * 0.5 * float(np.sum((arr - data.data) ** 2))
     k = kpn(params.p, params.dim).value
-    return fid + (params.alpha / k) * regularizer_value(arr, params)
+    return fid + (params.alpha / k) * regularizer_stencil(params).value(arr, params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +224,32 @@ class _Tracker:
         return self._flat >= self.plateau
 
 
-def _pdhg(d, mu, idx_i, idx_j, w, p, solver: SolverConfig):
-    """First-order primal-dual iteration on the cell-normalized problem
-    min 1/2 |f - d|^2 + sum (w/mu) |f_i - f_j|^p, which shares its minimizer
-    with the original energy but is 1-strongly convex.
+def _solve(d, mu, stencil: Stencil, p, solver: SolverConfig):
+    """Shared scaffold of both solvers for the cell-normalized problem
+    min 1/2 |f - d|^2 + sum w |f_i - f_{i+o}|^p, whose minimizer is that of
+    the original energy (``stencil`` carries the weights divided by the cell
+    measure ``mu``). Energies are reported in the original scaling.
+
+    Returns (best iterate, energy trace, iterations, converged).
+    """
+    f0 = (solver.init.ravel().astype(float).copy() if solver.init is not None
+          else d.copy())
+    if f0.size != d.size:
+        raise ValueError("init must have the same size as the data")
+
+    def total_energy(x):
+        return mu * (0.5 * float(np.sum((x - d) ** 2)) + stencil.value(x, p))
+
+    tracker = _Tracker(f0, total_energy(f0), solver.tol, solver.plateau)
+    if stencil.size == 0:
+        return tracker.best, tracker.trace, 0, True
+    run = _pdhg if solver.method == "pd" else _smoothed_descent
+    iterations, converged = run(d, f0, stencil, p, solver, tracker, total_energy)
+    return tracker.best, tracker.trace, iterations, converged
+
+
+def _pdhg(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
+    """First-order primal-dual iteration; the problem is 1-strongly convex.
 
     Each stencil pair carries one dual variable. For p = 1 the dual problem
     is the box-constrained quadratic min_{|q| <= w} 1/2 |K^T q - d|^2 and is
@@ -320,35 +259,13 @@ def _pdhg(d, mu, idx_i, idx_j, w, p, solver: SolverConfig):
     iteration with constant steps converges linearly. Step sizes come from
     the operator norm bound |K|^2 <= 2 max degree.
     """
-    n = d.size
-    f0 = (solver.init.ravel().astype(float).copy() if solver.init is not None
-          else d.copy())
-    if f0.size != n:
-        raise ValueError("init must have the same size as the data")
-    wn = w / mu
-
-    def total_energy(x):
-        # reported in the original (unnormalized) scaling
-        return mu * (0.5 * float(np.sum((x - d) ** 2))
-                     + _pairwise_reg(x, idx_i, idx_j, wn, p))
-
-    tracker = _Tracker(f0, total_energy(f0), solver.tol, solver.plateau)
-    if idx_i.size == 0:
-        return tracker.best, tracker.trace, 0, True
-
-    def gather(x):
-        return x[idx_i] - x[idx_j]
-
-    def scatter(q):
-        return np.bincount(idx_i, weights=q, minlength=n) \
-            - np.bincount(idx_j, weights=q, minlength=n)
-
-    deg = (np.bincount(idx_i, minlength=n) + np.bincount(idx_j, minlength=n))
-    op_norm_sq = 2.0 * float(deg.max())
+    gather, scatter = stencil.gather, stencil.scatter
+    wn = stencil.pair_weights()
+    op_norm_sq = 2.0 * float(stencil.max_degree)
     converged = False
     it = 0
     if p == 1:
-        q = np.zeros(idx_i.size)
+        q = np.zeros(stencil.size)
         q_prev = q.copy()
         t_acc = 1.0
         dual_last = math.inf
@@ -384,7 +301,7 @@ def _pdhg(d, mu, idx_i, idx_j, w, p, solver: SolverConfig):
         theta = 1.0 / (1.0 + rate)
         f = f0.copy()
         f_bar = f.copy()
-        q = np.zeros(idx_i.size)
+        q = np.zeros(stencil.size)
         scale = 1.0 + float(np.max(np.abs(d)))
         small_steps = 0
         for it in range(1, solver.max_iter + 1):
@@ -399,52 +316,40 @@ def _pdhg(d, mu, idx_i, idx_j, w, p, solver: SolverConfig):
             if tracker.step(f, total_energy(f)) and small_steps >= solver.plateau:
                 converged = True
                 break
-    return tracker.best, tracker.trace, it, converged
+    return it, converged
 
 
-def _smoothed_descent(d, mu, idx_i, idx_j, w, p, solver: SolverConfig):
+def _smoothed_descent(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
     """Cross-validation solver: descent with line search on the smoothed
     surrogate with |t| ~ sqrt(t^2 + eps^2), driven by L-BFGS (plain gradient
     steps cannot traverse the 1/eps-stiff kink regions in any reasonable
     iteration budget). Works for any p >= 1."""
     from scipy.optimize import minimize as _sp_minimize
 
-    n = d.size
     eps = solver.smooth_eps
-    f0 = (solver.init.ravel().astype(float).copy() if solver.init is not None
-          else d.copy())
-    if f0.size != n:
-        raise ValueError("init must have the same size as the data")
-    wn = w / mu
-
-    def true_energy(x):
-        return mu * (0.5 * float(np.sum((x - d) ** 2))
-                     + _pairwise_reg(x, idx_i, idx_j, wn, p))
-
-    tracker = _Tracker(f0, true_energy(f0), solver.tol, solver.plateau)
-    if idx_i.size == 0:
-        return tracker.best, tracker.trace, 0, True
+    wn = stencil.pair_weights()
 
     def fun(x):
-        diff = x[idx_i] - x[idx_j]
+        diff = stencil.gather(x)
         core = (diff * diff + eps * eps) ** (p / 2.0)
         val = 0.5 * float(np.sum((x - d) ** 2)) + float(np.sum(wn * core))
         slope = wn * p * diff * (diff * diff + eps * eps) ** (p / 2.0 - 1.0)
+        to_base, to_partner = stencil.scatter_ends(slope)
         g = (x - d)
-        g += np.bincount(idx_i, weights=slope, minlength=n)
-        g -= np.bincount(idx_j, weights=slope, minlength=n)
+        g += to_base
+        g -= to_partner
         return val, g
 
     def on_iterate(xk):
-        tracker.step(xk, true_energy(xk))
+        tracker.step(xk, total_energy(xk))
 
     res = _sp_minimize(fun, f0, jac=True, method="L-BFGS-B",
                        callback=on_iterate,
                        options=dict(maxiter=solver.max_iter,
                                     ftol=min(solver.tol, 1e-12),
                                     gtol=1e-14, maxcor=30))
-    tracker.step(np.asarray(res.x, dtype=float), true_energy(res.x))
-    return tracker.best, tracker.trace, int(res.nit), bool(res.success)
+    tracker.step(np.asarray(res.x, dtype=float), total_energy(res.x))
+    return int(res.nit), bool(res.success)
 
 
 def denoise(data: DataTerm, params: EnergyParams,
@@ -463,23 +368,20 @@ def denoise(data: DataTerm, params: EnergyParams,
     if solver.method == "pd" and params.p not in (1.0, 2.0):
         raise ValueError("the primal-dual solver handles p in {1, 2}; "
                          "use the smooth solver for other exponents")
-    idx_i, idx_j, w = regularizer_pairs(params)
-    k = kpn(params.p, params.dim).value
-    w_scaled = (params.alpha / k) * w
-    d_flat = data.data.ravel().astype(float)
+    reg = regularizer_stencil(params)
+    scale = params.alpha / kpn(params.p, params.dim).value
     mu = data.cell_measure
-    run = _pdhg if solver.method == "pd" else _smoothed_descent
-    best, trace, iterations, converged = run(
-        d_flat, mu, idx_i, idx_j, w_scaled, params.p, solver)
+    normalized = Stencil(reg.shape, [(off, scale * w / mu) for off, w in reg.terms])
+    best, trace, iterations, converged = _solve(
+        data.data.ravel().astype(float), mu, normalized, params.p, solver)
     minimizer = best.reshape(data.data.shape)
     fid = mu * 0.5 * float(np.sum((minimizer - data.data) ** 2))
-    reg = _pairwise_reg(best, idx_i, idx_j, w, params.p)
     return DenoiseResult(minimizer=minimizer,
                          energy_trace=np.asarray(trace),
                          iterations=iterations,
                          converged=converged,
                          fidelity_value=fid,
-                         regularizer_value=reg)
+                         regularizer_value=reg.value(best, params.p))
 
 
 # ---------------------------------------------------------------------------

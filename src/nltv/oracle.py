@@ -29,6 +29,7 @@ import numpy as np
 from .kernels import Kernel, KernelKind, kernel_eval
 from .schemes_1d import PiecewiseConstant1D, Spline1D
 from .schemes_2d import Image2D, StencilWeights
+from .stencil import Stencil, in_reach, offset_slices, offsets_within_reach
 
 GAUSS = "gauss"
 MONTE_CARLO = "mc"
@@ -289,14 +290,12 @@ def _polar_factor(dx: int, dy: int, h: float, kernel: Kernel, g: int,
 @lru_cache(maxsize=4096)
 def _factor_2d(dx: int, dy: int, grid_n: int, kind: KernelKind, kernel_n: int,
                method: str, g: int, nsamples: int, seed: int, p: float):
-    """Unordered-pair weight for cells at offset (dx, dy), both orientations."""
-    dx, dy = sorted((abs(dx), abs(dy)), reverse=True)
+    """Unordered-pair weight for cells at the canonical offset (dx, dy),
+    dx >= dy >= 0, both orientations."""
     kernel = Kernel(kind, kernel_n)
     h = 1.0 / grid_n
     r = kernel.support_radius
-    # cells are out of kernel reach when the gap between them already is
-    gap = math.hypot(max(dx - 1, 0) * h, max(dy - 1, 0) * h)
-    if gap >= r:
+    if not in_reach(kernel, grid_n, (dx, dy)):
         return 0.0, 0.0
     if p >= 3.0 and dx <= 1 and dy <= 1:
         raise ValueError("the touching-pair factor diverges for p >= 3 in 2D")
@@ -340,95 +339,66 @@ def _factor_2d(dx: int, dy: int, grid_n: int, kind: KernelKind, kernel_n: int,
 # assembled evaluations
 
 
-def _eval_pc_1d(f: PiecewiseConstant1D, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
-    m = f.n
-    h = 1.0 / m
-    a = f.coeffs
-    d_max = int(math.floor(kernel.support_radius / h + 1.0 - 1e-12))
+def _canonical(offset: tuple) -> tuple:
+    # pair factors are invariant under axis reflections and swaps
+    return tuple(sorted((abs(o) for o in offset), reverse=True))
+
+
+def _pair_factor(offset: tuple, grid_n: int, kernel: Kernel, cfg: OracleConfig,
+                 nsamples: int):
+    """(factor, error) of the cell pairs at a 1D or 2D offset."""
+    factor = _factor_1d if len(offset) == 1 else _factor_2d
+    return factor(*_canonical(offset), grid_n, kernel.kind, kernel.n, cfg.method,
+                  cfg.points_per_cell_axis, nsamples, cfg.seed, cfg.p)
+
+
+def _eval_piecewise_constant(a: np.ndarray, kernel: Kernel,
+                             cfg: OracleConfig) -> EvalReport:
+    """Sum over the offsets in reach of the coefficient differences
+    sum |a_i - a_{i+o}|^p times the pair factor of the offset."""
+    n = a.shape[0]
     tasks = []
-    for d in range(1, min(d_max, m - 1) + 1):
-        coeff_sum = float(np.sum(np.abs(a[d:] - a[:-d]) ** cfg.p))
+    for off in offsets_within_reach(kernel, n):
+        base, shifted = offset_slices(a.shape, off)
+        coeff_sum = float(np.sum(np.abs(a[base] - a[shifted]) ** cfg.p))
         if coeff_sum > 0.0:
-            tasks.append((d, coeff_sum))
+            tasks.append((_canonical(off), coeff_sum))
     if not tasks:
         return EvalReport(0.0, 0.0, 0.0, cfg)
-    if cfg.p >= 2.0 and any(d == 1 for d, _ in tasks):
+    # the correlation of two adjacent cells vanishes linearly at the origin,
+    # so against the radial measure rho^(dim-1) the integral of rho^(-p)
+    # diverges from p = dim + 1 on
+    if cfg.p >= kernel.dim + 1 and any(off[0] == 1 for off, _ in tasks):
         raise ValueError("the functional is infinite for a discontinuous "
-                         "piecewise constant when p >= 2")
-    per_task = max(1000, cfg.samples // len(tasks))
-    value = 0.0
-    var = 0.0
-    delta = 0.0
-    for d, coeff_sum in tasks:
-        fac, err = _factor_1d(d, m, kernel.kind, kernel.n, cfg.method,
-                              cfg.points_per_cell_axis, per_task, cfg.seed, cfg.p)
-        value += coeff_sum * fac
-        if cfg.method == MONTE_CARLO:
-            var += (coeff_sum * err) ** 2
-        else:
-            delta += coeff_sum * err
-    return EvalReport(value, math.sqrt(var), delta, cfg)
-
-
-def _half_plane_offsets(reach: int):
-    # one representative per unordered pair direction
-    for dx in range(0, reach + 1):
-        for dy in range(-reach, reach + 1):
-            if dx == 0 and dy <= 0:
-                continue
-            yield dx, dy
-
-
-def _eval_image_2d(f: Image2D, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
-    n = f.n
-    h = 1.0 / n
-    a = f.coeffs
-    reach = int(math.floor(kernel.support_radius / h)) + 1
-    tasks = []
-    for dx, dy in _half_plane_offsets(reach):
-        gap = math.hypot(max(abs(dx) - 1, 0) * h, max(abs(dy) - 1, 0) * h)
-        if gap >= kernel.support_radius:
-            continue
-        lo_y, hi_y = max(0, -dy), min(n, n - dy)
-        if dx >= n or hi_y <= lo_y:
-            continue
-        shifted = a[dx:, lo_y + dy:hi_y + dy]
-        base = a[:n - dx, lo_y:hi_y]
-        coeff_sum = float(np.sum(np.abs(base - shifted) ** cfg.p))
-        if coeff_sum > 0.0:
-            tasks.append((dx, dy, coeff_sum))
-    if not tasks:
-        return EvalReport(0.0, 0.0, 0.0, cfg)
-    # edge-adjacent cell pairs make the integral divergent from p = 3 on
-    # (the 2D correlation area vanishes linearly at the origin)
-    if cfg.p >= 3.0 and any(max(abs(dx), abs(dy)) == 1 for dx, dy, _ in tasks):
-        raise ValueError("the functional is infinite for a discontinuous "
-                         "image when p >= 3")
-    canonical = sorted({tuple(sorted((abs(dx), abs(dy)), reverse=True))
-                        for dx, dy, _ in tasks})
+                         f"piecewise constant when p >= {kernel.dim + 1}")
+    canonical = sorted({off for off, _ in tasks})
     per_task = max(1000, cfg.samples // len(canonical))
+    factors = {off: _pair_factor(off, n, kernel, cfg, per_task) for off in canonical}
     value = 0.0
-    var_by_offset = {}
-    val_by_offset = {}
+    coeff_by_offset = dict.fromkeys(canonical, 0.0)
+    for off, coeff_sum in tasks:
+        value += coeff_sum * factors[off][0]
+        coeff_by_offset[off] += coeff_sum
+    var = 0.0
     delta = 0.0
     for off in canonical:
-        fac, err = _factor_2d(off[0], off[1], n, kernel.kind, kernel.n,
-                              cfg.method, cfg.points_per_cell_axis, per_task,
-                              cfg.seed, cfg.p)
-        val_by_offset[off] = fac
-        var_by_offset[off] = err
-    err_coeffs = {off: 0.0 for off in canonical}
-    for dx, dy, coeff_sum in tasks:
-        off = tuple(sorted((abs(dx), abs(dy)), reverse=True))
-        value += coeff_sum * val_by_offset[off]
-        err_coeffs[off] += coeff_sum
-    var = 0.0
-    for off in canonical:
+        err = coeff_by_offset[off] * factors[off][1]
         if cfg.method == MONTE_CARLO:
-            var += (err_coeffs[off] * var_by_offset[off]) ** 2
+            var += err ** 2
         else:
-            delta += err_coeffs[off] * var_by_offset[off]
+            delta += err
     return EvalReport(value, math.sqrt(var), delta, cfg)
+
+
+def oracle_stencil(kernel: Kernel, grid_n: int, cfg: OracleConfig) -> Stencil:
+    """Regularizer stencil on the grid whose pair weights are the geometric
+    factors of every offset in kernel reach (zero factors left out)."""
+    terms = []
+    for off in offsets_within_reach(kernel, grid_n):
+        fac, _ = _pair_factor(off, grid_n, kernel, cfg, cfg.samples)
+        if fac > 0.0:
+            terms.append((off, fac))
+    return Stencil((grid_n,) * kernel.dim, terms)
 
 
 def _curve_breaks(knots: np.ndarray, shift: float, lo: float, hi: float) -> np.ndarray:
@@ -538,10 +508,8 @@ def geometric_factor_1d(d: int, grid_m: int, kernel: Kernel, cfg: OracleConfig,
     distance ``d`` (both orientations). Returns (value, error estimate)."""
     if d < 1 or grid_m < 1:
         raise ValueError("need d >= 1 and grid_m >= 1")
-    return _factor_1d(d, grid_m, kernel.kind, kernel.n, cfg.method,
-                      cfg.points_per_cell_axis,
-                      samples if samples is not None else cfg.samples,
-                      cfg.seed, cfg.p)
+    return _pair_factor((d,), grid_m, kernel, cfg,
+                        samples if samples is not None else cfg.samples)
 
 
 def geometric_factor_2d(offset, grid_n: int, kernel: Kernel, cfg: OracleConfig,
@@ -551,11 +519,8 @@ def geometric_factor_2d(offset, grid_n: int, kernel: Kernel, cfg: OracleConfig,
     dx, dy = offset
     if (dx, dy) == (0, 0) or grid_n < 1:
         raise ValueError("offset must be nonzero and grid_n >= 1")
-    d1, d2 = sorted((abs(dx), abs(dy)), reverse=True)
-    return _factor_2d(d1, d2, grid_n, kernel.kind, kernel.n, cfg.method,
-                      cfg.points_per_cell_axis,
-                      samples if samples is not None else cfg.samples,
-                      cfg.seed, cfg.p)
+    return _pair_factor((dx, dy), grid_n, kernel, cfg,
+                        samples if samples is not None else cfg.samples)
 
 
 def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
@@ -569,11 +534,11 @@ def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     if isinstance(f, PiecewiseConstant1D):
         if kernel.dim != 1:
             raise ValueError("1D input needs a 1D kernel")
-        return _eval_pc_1d(f, kernel, cfg)
+        return _eval_piecewise_constant(f.coeffs, kernel, cfg)
     if isinstance(f, Image2D):
         if kernel.dim != 2:
             raise ValueError("2D input needs a 2D kernel")
-        return _eval_image_2d(f, kernel, cfg)
+        return _eval_piecewise_constant(f.coeffs, kernel, cfg)
     if isinstance(f, Spline1D):
         if kernel.dim != 1:
             raise ValueError("1D input needs a 1D kernel")

@@ -1,0 +1,95 @@
+"""Pinned outputs: refactors of the regularizer and the oracle must leave the
+minimizers, iteration counts and printed verification values bit for bit
+unchanged for the same inputs and seeds.
+
+The digests hash the raw float64 bytes, so they also depend on the platform's
+floating-point summation; they were recorded with numpy 2.4 on x86-64.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from nltv import DataTerm, EnergyParams, Kernel, KernelKind, SolverConfig, denoise
+from nltv.cli import main
+from nltv.minimize import SCHEME_CLOSED_1D, SCHEME_CLOSED_2D, SCHEME_ORACLE
+
+
+def _signal(n, seed):
+    rng = np.random.default_rng(seed)
+    x = np.arange(n) / n
+    return (x >= 0.4).astype(float) + 0.2 * rng.standard_normal(n)
+
+
+def _case(name):
+    if name == "closed-1d-box":
+        d = _signal(64, 1)
+        return d, (1.0, 0.01, Kernel(KernelKind.BOX1D, 64), SCHEME_CLOSED_1D), SolverConfig()
+    if name == "closed-1d-box2":
+        d = _signal(64, 2)
+        return (d, (1.0, 0.01, Kernel(KernelKind.BOX1D_WIDE, 64), SCHEME_CLOSED_1D),
+                SolverConfig())
+    if name == "closed-1d-box-p2":
+        d = _signal(48, 3)
+        return d, (2.0, 2e-3, Kernel(KernelKind.BOX1D, 48), SCHEME_CLOSED_1D), SolverConfig()
+    if name == "closed-2d-disc":
+        rng = np.random.default_rng(4)
+        ii, jj = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+        d = ((ii - 7.5) ** 2 + (jj - 7.5) ** 2 < 25).astype(float)
+        d = d + 0.1 * rng.standard_normal((16, 16))
+        return (d, (1.0, 2e-3, Kernel(KernelKind.DISC2D, 16), SCHEME_CLOSED_2D),
+                SolverConfig(tol=1e-7))
+    if name == "oracle-1d":
+        d = _signal(32, 5)
+        return d, (1.0, 0.01, Kernel(KernelKind.BOX1D, 8), SCHEME_ORACLE), SolverConfig()
+    if name == "smooth-1d-box":
+        d = _signal(32, 6)
+        return (d, (1.0, 0.01, Kernel(KernelKind.BOX1D, 32), SCHEME_CLOSED_1D),
+                SolverConfig(method="smooth", tol=1e-10))
+    raise KeyError(name)
+
+
+# iteration count and sha256 of minimizer.tobytes()
+GOLDEN = {
+    "closed-1d-box":
+        (293, "6436c5dbac14ff2c87995cfbe564114e87c9b7630979ebacb3f2c99789b50eae"),
+    "closed-1d-box2":
+        (206, "e1e20cbcdc1388a53e1e0f543f8d69ab57238cf7f85676877c9eebc9e87b6c56"),
+    "closed-1d-box-p2":
+        (39, "8d573ff911aa4025af5be4bd60f973ddcfd09df8bdd2f5308ef6e4b51f41fe04"),
+    "closed-2d-disc":
+        (79, "9d7e6564095a349b996cdfcaaaddbfd93beed5497a0608af9b65e40bca567e04"),
+    "oracle-1d":
+        (77, "14702879cfae14d820133d37f861d7880f581e6af40674cfa9f90470ed22a113"),
+    "smooth-1d-box":
+        (1427, "09ff1d627bcb00dfc4a334e801d105a73e3bf4b33b1edc96c92a1d00c0676097"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_denoise_minimizer_is_pinned(name):
+    d, (p, alpha, kernel, scheme), solver = _case(name)
+    params = EnergyParams(p=p, alpha=alpha, kernel=kernel, grid_n=d.shape[0],
+                          scheme=scheme)
+    res = denoise(DataTerm.of(d), params, solver)
+    digest = hashlib.sha256(res.minimizer.tobytes()).hexdigest()
+    assert (res.iterations, digest) == GOLDEN[name]
+
+
+VERIFY_GOLDEN = {
+    "image": ("closed-form 1.76867588873\n"
+              "oracle      1.77296276499\n"
+              "rel-error   2.424e-03 (tolerance 1.000e-02)\n"),
+    "pc-wide": ("closed-form 3.13847729425\n"
+                "oracle      3.13879844184\n"
+                "rel-error   1.023e-04 (tolerance 1.000e-02)\n"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(VERIFY_GOLDEN))
+def test_verify_mc_output_is_pinned(family, capsys):
+    n = "6" if family == "image" else "12"
+    assert main(["verify", "--family", family, "--n", n, "--samples", "40000",
+                 "--seed", "3", "--method", "mc"]) == 0
+    assert capsys.readouterr().out == VERIFY_GOLDEN[family]

@@ -62,6 +62,18 @@ def test_missing_file_exit_code(tmp_path, capsys):
                  "--input", str(tmp_path / "nope.csv")]) == 2
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_non_finite_csv_is_an_input_error(tmp_path, capsys, token):
+    sig = tmp_path / "s.csv"
+    sig.write_text(f"0.5\n{token}\n0.25\n")
+    with pytest.raises(InputFormatError, match="s.csv:2"):
+        read_signal_csv(str(sig))
+    assert main(["eval", "--family", "pc", "--input", str(sig)]) == 2
+    assert main(["denoise", "--input", str(sig), "--alpha", "0.01",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.count("input error") == 2
+
+
 # ---------------------------------------------------------------------------
 # signal and image I/O
 

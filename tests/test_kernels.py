@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nltv import Kernel, KernelKind, kernel_eval, kernel_mass, kpn, radial_profile
+from nltv import Kernel, KernelKind, kernel_eval, kpn, radial_profile
 
 ALL_KINDS = list(KernelKind)
 RADIAL_KINDS = [KernelKind.BOX1D, KernelKind.BOX1D_WIDE, KernelKind.DISC2D]
@@ -61,18 +61,12 @@ def test_kernel_eval_is_total_and_validates():
         Kernel(KernelKind.BOX1D, 0)
 
 
-def test_kernel_mass_examples():
-    assert kernel_mass(Kernel(KernelKind.BOX1D, 7)) == 1.0
-    assert kernel_mass(Kernel(KernelKind.DISC2D, 5)) == 1.0
-    assert kernel_mass(Kernel(KernelKind.BOX1D_WIDE, 4)) == 1.0
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_numeric_mass_matches_for_all_scales(kind):
     panels = 2 if kind is KernelKind.SQUARE2D else 8
     for n in range(1, 65):
         k = Kernel(kind, n)
-        assert abs(numeric_mass(k, panels=panels) - kernel_mass(k)) < 1e-8
+        assert abs(numeric_mass(k, panels=panels) - 1.0) < 1e-8
 
 
 def test_radial_rotation_invariance():

@@ -2,16 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
 from nltv import (
     DataTerm,
     EnergyParams,
+    Image2D,
     Kernel,
     KernelKind,
+    PiecewiseConstant1D,
     SolverConfig,
+    Stencil,
     denoise,
     energy,
+    eval_image,
+    eval_pc_box,
+    eval_pc_box_wide,
     gamma_experiment,
     taut_string_1d,
 )
@@ -19,7 +28,7 @@ from nltv.minimize import (
     SCHEME_CLOSED_1D,
     SCHEME_CLOSED_2D,
     SCHEME_ORACLE,
-    regularizer_pairs,
+    regularizer_stencil,
 )
 
 TIGHT = SolverConfig(tol=1e-15, max_iter=60_000, plateau=10)
@@ -55,6 +64,8 @@ def test_energy_trivial_cases():
     assert energy([0.5, 0.5], const, params_1d(2, alpha=1.0)) == 0.0
     with pytest.raises(ValueError):
         energy([0.0, 1.0, 2.0], data, params_1d(2, alpha=0.1))
+    with pytest.raises(ValueError):
+        energy([0.2, math.nan, 0.4], data, params)
 
 
 def test_param_validation():
@@ -78,16 +89,14 @@ def test_param_validation():
 
 
 def test_closed_2d_pairs_match_eval_image():
-    from nltv import Image2D, eval_image
-
     rng = np.random.default_rng(20)
     for n in (2, 5):
         params = EnergyParams(p=1.0, alpha=1.0, kernel=Kernel(KernelKind.DISC2D, n),
                               grid_n=n, scheme=SCHEME_CLOSED_2D)
-        ii, jj, w = regularizer_pairs(params)
+        stencil = regularizer_stencil(params)
         a = rng.uniform(0, 1, (n, n))
-        flat = a.ravel()
-        pair_sum = float(np.sum(w * np.abs(flat[ii] - flat[jj])))
+        pair_sum = float(np.sum(stencil.pair_weights()
+                                * np.abs(stencil.gather(a.ravel()))))
         assert abs(pair_sum - eval_image(Image2D(a), KernelKind.DISC2D)) < 1e-13
 
 
@@ -96,13 +105,57 @@ def test_oracle_pairs_match_wide_closed_form():
     # ln(2) / (1 - ln 2)/2 stencil
     n = 9
     po = params_1d(n, alpha=1.0, kind=KernelKind.BOX1D_WIDE, scheme=SCHEME_ORACLE)
-    ii, jj, w = regularizer_pairs(po)
     by_dist = {}
-    for a, b, wv in zip(ii, jj, w):
-        by_dist.setdefault(b - a, set()).add(round(wv, 12))
+    for (d,), wv in regularizer_stencil(po).terms:
+        by_dist.setdefault(d, set()).add(round(wv, 12))
     assert set(by_dist) == {1, 2}
     assert by_dist[1] == {round(math.log(2.0), 12)}
     assert by_dist[2] == {round(0.5 * (1 - math.log(2.0)), 12)}
+
+
+_CLOSED_FORMS = {
+    KernelKind.BOX1D: lambda a: eval_pc_box(PiecewiseConstant1D(a)),
+    KernelKind.BOX1D_WIDE: lambda a: eval_pc_box_wide(PiecewiseConstant1D(a)),
+    KernelKind.DISC2D: lambda a: eval_image(Image2D(a), KernelKind.DISC2D),
+    KernelKind.SQUARE2D: lambda a: eval_image(Image2D(a), KernelKind.SQUARE2D),
+}
+
+
+@st.composite
+def _grid_inputs(draw):
+    kind = draw(st.sampled_from(sorted(_CLOSED_FORMS, key=lambda k: k.value)))
+    dim = 1 if kind in (KernelKind.BOX1D, KernelKind.BOX1D_WIDE) else 2
+    n = draw(st.integers(2, 9))
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    a = draw(arrays(np.float64, (n,) * dim, elements=values))
+    offsets = draw(st.lists(st.tuples(*[st.integers(-n - 1, n + 1)] * dim),
+                            min_size=1, max_size=3))
+    return kind, a, offsets, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_inputs())
+def test_stencil_value_and_adjoint_property(case):
+    kind, a, offsets, seed = case
+    n = a.shape[0]
+    scheme = SCHEME_CLOSED_1D if a.ndim == 1 else SCHEME_CLOSED_2D
+    params = EnergyParams(p=1.0, alpha=1.0, kernel=Kernel(kind, n), grid_n=n,
+                          scheme=scheme)
+    got = regularizer_stencil(params).value(a.ravel(), 1.0)
+    # products that fall below the normal range round in absolute terms, so
+    # the relative bound gets an absolute floor far below any normal value
+    assert math.isclose(got, _CLOSED_FORMS[kind](a), rel_tol=1e-12, abs_tol=1e-300)
+
+    # <gather(x), q> = <x, scatter(q)>, on arbitrary offsets (including ones
+    # that fit no pair on the grid)
+    stencil = Stencil(a.shape, [(off, 1.0) for off in offsets])
+    x = a.ravel()
+    q = np.random.default_rng(seed).uniform(-1.0, 1.0, stencil.size)
+    lhs = float(stencil.gather(x) @ q)
+    rhs = float(x @ stencil.scatter(q))
+    to_base, to_partner = stencil.scatter_ends(np.abs(q))
+    scale = float(np.abs(x) @ (to_base + to_partner))
+    assert abs(lhs - rhs) <= 1e-12 * scale + 1e-300
 
 
 # ---------------------------------------------------------------------------
