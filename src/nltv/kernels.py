@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 
 class KernelKind(enum.Enum):
@@ -135,6 +134,9 @@ def kpn(p: float, dim: int) -> KpnConstant:
     elif p == 2:
         value = 0.5
     else:
+        # scipy.integrate alone costs more than the rest of `import nltv`
+        from scipy import integrate
+
         # average over S^1; integrand is symmetric over quarter periods
         quarter, _ = integrate.quad(_kpn_integrand, 0.0, math.pi / 2, args=(p,),
                                     epsabs=1e-12, epsrel=1e-12)

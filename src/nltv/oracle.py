@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import Kernel, KernelKind, kernel_eval
+from .kernels import Kernel, KernelKind
 from .schemes_1d import PiecewiseConstant1D, Spline1D
 from .schemes_2d import Image2D, StencilWeights
 from .stencil import Stencil, in_reach, offset_slices, offsets_within_reach
@@ -348,8 +348,12 @@ def _pair_factor(offset: tuple, grid_n: int, kernel: Kernel, cfg: OracleConfig,
                  nsamples: int):
     """(factor, error) of the cell pairs at a 1D or 2D offset."""
     factor = _factor_1d if len(offset) == 1 else _factor_2d
+    seed = cfg.seed
+    if cfg.method == GAUSS:
+        # Gauss uses neither, so every sample budget shares one cache entry
+        nsamples, seed = 0, 0
     return factor(*_canonical(offset), grid_n, kernel.kind, kernel.n, cfg.method,
-                  cfg.points_per_cell_axis, nsamples, cfg.seed, cfg.p)
+                  cfg.points_per_cell_axis, nsamples, seed, cfg.p)
 
 
 def _eval_piecewise_constant(a: np.ndarray, kernel: Kernel,
@@ -479,6 +483,17 @@ def _curve_mc_1d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     return EvalReport(total, math.sqrt(var), 0.0, cfg)
 
 
+def _kernel_values_2d(kernel: Kernel, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """``kernel_eval`` at the points (u1, u2), with its comparisons: the
+    Euclidean norm against r for ``disc`` and the sup-norm for ``square``."""
+    r = kernel.support_radius
+    if kernel.kind is KernelKind.SQUARE2D:
+        inside = np.maximum(np.abs(u1), np.abs(u2)) <= r
+    else:
+        inside = np.sqrt(u1 * u1 + u2 * u2) <= r
+    return np.where(inside, kernel.height, 0.0)
+
+
 def _callable_mc_2d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     r = kernel.support_radius
     nsamples = cfg.samples
@@ -491,7 +506,7 @@ def _callable_mc_2d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     ok = (y1 > 0) & (y1 < 1) & (y2 > 0) & (y2 < 1)
     norm = np.sqrt(u1 * u1 + u2 * u2)
     ok &= norm > 0
-    phi = np.array([kernel_eval(kernel, (a, b)) for a, b in zip(u1, u2)])
+    phi = _kernel_values_2d(kernel, u1, u2)
     fx = func(x1, x2)
     fy = func(np.clip(y1, 0, 1), np.clip(y2, 0, 1))
     safe = np.where(ok, norm, 1.0)

@@ -1,6 +1,6 @@
 """Pinned outputs: refactors of the regularizer and the oracle must leave the
-minimizers, iteration counts and printed verification values bit for bit
-unchanged for the same inputs and seeds.
+minimizers, iteration counts, printed verification values and Monte Carlo
+oracle reports bit for bit unchanged for the same inputs and seeds.
 
 The digests hash the raw float64 bytes, so they also depend on the platform's
 floating-point summation; they were recorded with numpy 2.4 on x86-64.
@@ -11,7 +11,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from nltv import DataTerm, EnergyParams, Kernel, KernelKind, SolverConfig, denoise
+from nltv import (
+    DataTerm,
+    EnergyParams,
+    Kernel,
+    KernelKind,
+    OracleConfig,
+    SolverConfig,
+    Spline1D,
+    denoise,
+    oracle_eval,
+)
 from nltv.cli import main
 from nltv.minimize import SCHEME_CLOSED_1D, SCHEME_CLOSED_2D, SCHEME_ORACLE
 
@@ -84,12 +94,49 @@ VERIFY_GOLDEN = {
     "pc-wide": ("closed-form 3.13847729425\n"
                 "oracle      3.13879844184\n"
                 "rel-error   1.023e-04 (tolerance 1.000e-02)\n"),
+    "spline": ("closed-form 7.03367238716\n"
+               "oracle      7.04208970098\n"
+               "rel-error   1.197e-03 (tolerance 1.000e-02)\n"),
 }
+
+
+# --n and --samples per family; the spline's 75,000 points per stratum span
+# more than one block of the Spline1D lookup
+VERIFY_ARGS = {"image": ("6", "40000"), "pc-wide": ("12", "40000"),
+               "spline": ("24", "1200000")}
 
 
 @pytest.mark.parametrize("family", sorted(VERIFY_GOLDEN))
 def test_verify_mc_output_is_pinned(family, capsys):
-    n = "6" if family == "image" else "12"
-    assert main(["verify", "--family", family, "--n", n, "--samples", "40000",
+    n, samples = VERIFY_ARGS[family]
+    assert main(["verify", "--family", family, "--n", n, "--samples", samples,
                  "--seed", "3", "--method", "mc"]) == 0
     assert capsys.readouterr().out == VERIFY_GOLDEN[family]
+
+
+def _mc_case(name):
+    if name == "spline":
+        nodes = np.random.default_rng(9).uniform(0.0, 1.0, 17)
+        return (Spline1D(nodes), Kernel(KernelKind.BOX1D, 16),
+                OracleConfig(method="mc", samples=300_000, seed=5))
+    if name == "callable-2d-square":
+        return (lambda x, y: np.sin(3 * x) + y * y, Kernel(KernelKind.SQUARE2D, 8),
+                OracleConfig(method="mc", samples=50_000, seed=4))
+    if name == "callable-2d-disc":
+        return (lambda x, y: x, Kernel(KernelKind.DISC2D, 32),
+                OracleConfig(method="mc", samples=50_000, seed=7))
+    raise KeyError(name)
+
+
+# float.hex() of the oracle's value and stderr_estimate
+MC_GOLDEN = {
+    "spline": ("0x1.0d7ca2e6b78dep+2", "0x1.c7369d3c4aba2p-8"),
+    "callable-2d-square": ("0x1.31bae0030f1dep+0", "0x1.0c6224b85ee7dp-8"),
+    "callable-2d-disc": ("0x1.3e13cc4fc3eb2p-1", "0x1.1cd04c49df1e7p-9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_GOLDEN))
+def test_mc_oracle_report_is_pinned(name):
+    report = oracle_eval(*_mc_case(name))
+    assert (report.value.hex(), report.stderr_estimate.hex()) == MC_GOLDEN[name]

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nltv
 from nltv import Kernel, KernelKind, kernel_eval, kpn, radial_profile
 
 ALL_KINDS = list(KernelKind)
@@ -112,6 +117,18 @@ def test_kpn_general_p_matches_gamma_function_form():
         expected = math.gamma((p + 1) / 2) / (math.sqrt(math.pi)
                                               * math.gamma(p / 2 + 1))
         assert abs(kpn(p, 2).value - expected) < 1e-12
+
+
+def test_import_loads_no_scipy():
+    # kpn imports scipy.integrate only for exponents without a closed form
+    src = str(Path(nltv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, nltv; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_kpn_monotone_in_p():

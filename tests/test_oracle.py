@@ -12,10 +12,18 @@ from nltv import (
     PiecewiseConstant1D,
     Spline1D,
     fit_stencil,
+    kernel_eval,
     oracle_eval,
     stencil_weights,
 )
-from nltv.oracle import geometric_factor_1d, geometric_factor_2d
+from nltv.oracle import (
+    _factor_1d,
+    _factor_2d,
+    _kernel_values_2d,
+    geometric_factor_1d,
+    geometric_factor_2d,
+    oracle_stencil,
+)
 
 BOX = Kernel(KernelKind.BOX1D, 4)
 WIDE = Kernel(KernelKind.BOX1D_WIDE, 6)
@@ -164,6 +172,48 @@ def test_callback_2d_mc():
     # slope-one ramp: the full-space value is K_{1,2} = 2/pi, reduced by the
     # boundary-truncated kernel mass (a few percent at this scale)
     assert abs(got.value - 2 / math.pi) < 0.05
+
+
+@pytest.mark.parametrize("kind", [KernelKind.DISC2D, KernelKind.SQUARE2D])
+def test_kernel_values_2d_match_kernel_eval(kind):
+    # r = 1/32 is a power of two, so many points on the circle have
+    # sqrt(u1^2 + u2^2) <= r while u1^2 + u2^2 > r^2
+    kernel = Kernel(kind, 32)
+    r = kernel.support_radius
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 4000)
+    ulps = rng.integers(-2, 3, theta.size)
+    circle_x = r * np.cos(theta)
+    circle_x = circle_x + ulps * np.spacing(circle_x)
+    near = [r, -r, np.nextafter(r, 0.0), np.nextafter(r, 1.0), 0.0]
+    grid_x, grid_y = np.meshgrid(near, near)
+    u1 = np.concatenate([circle_x, grid_x.ravel(), rng.uniform(-2 * r, 2 * r, 2000)])
+    u2 = np.concatenate([r * np.sin(theta), grid_y.ravel(),
+                         rng.uniform(-2 * r, 2 * r, 2000)])
+    expected = [kernel_eval(kernel, (a, b)) for a, b in zip(u1, u2)]
+    assert np.array_equal(_kernel_values_2d(kernel, u1, u2), expected)
+    if kind is KernelKind.DISC2D:
+        squared = u1 * u1 + u2 * u2 <= r * r
+        assert np.any(squared != (np.sqrt(u1 * u1 + u2 * u2) <= r))
+
+
+@pytest.mark.parametrize("f, kernel", [
+    (PiecewiseConstant1D(np.linspace(0.0, 1.0, 12) ** 2), Kernel(KernelKind.BOX1D, 3)),
+    (Image2D(np.arange(16.0).reshape(4, 4) % 3), Kernel(KernelKind.SQUARE2D, 8)),
+])
+def test_gauss_factors_are_shared_between_eval_and_stencil(f, kernel):
+    # Gauss ignores the sample budget and the seed, so oracle_eval (budget
+    # split over the offsets) and oracle_stencil (whole budget) share factors
+    factor = _factor_1d if kernel.dim == 1 else _factor_2d
+    cfg = OracleConfig(method="gauss", samples=50_000, seed=4)
+    grid_n = f.coeffs.shape[0]
+    value = oracle_eval(f, kernel, cfg).value
+    misses = factor.cache_info().misses
+    stencil = oracle_stencil(kernel, grid_n, cfg)
+    assert factor.cache_info().misses == misses
+    factor.cache_clear()
+    assert oracle_stencil(kernel, grid_n, replace(cfg, seed=9)).terms == stencil.terms
+    assert oracle_eval(f, kernel, cfg).value == value
 
 
 def test_dimension_and_exponent_errors():

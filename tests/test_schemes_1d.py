@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nltv import (
     Kernel,
@@ -13,6 +15,7 @@ from nltv import (
     eval_pc_box_wide,
     eval_spline,
     oracle_eval,
+    schemes_1d,
 )
 
 LN2 = math.log(2.0)
@@ -148,3 +151,51 @@ def test_spline_callable_interface():
     f = Spline1D([0.0, 1.0, 0.0])
     xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     assert np.allclose(f(xs), [0.0, 0.5, 1.0, 0.5, 0.0])
+
+
+_DIRECT = schemes_1d._INTERP_DIRECT_MAX
+_BLOCK = schemes_1d._INTERP_BLOCK
+
+
+@st.composite
+def _spline_and_points(draw):
+    n = draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nodes = rng.standard_normal(n + 1) * 10.0 ** draw(st.integers(-3, 3))
+    # rounding makes runs of equal nodes, i.e. zero slopes
+    nodes = np.round(nodes, draw(st.integers(0, 17)))
+    grid = np.linspace(0.0, 1.0, n + 1)
+    special = np.concatenate([
+        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        # within and just beyond the bin margin of a node
+        grid + rng.uniform(-3e-9, 3e-9, n + 1) / n,
+        [0.0, -0.0, 1.0, -1e-300, -0.5, -7.0, 1.5, 9.0, 5e-324,
+         -1e308, 1e308, -np.inf, np.inf, np.nan],
+    ])
+    size = draw(st.sampled_from([1, 5, _DIRECT, _DIRECT + 1, 3 * _DIRECT,
+                                 _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37]))
+    fill = rng.uniform(-0.2, 1.2, max(size - special.size, 0))
+    points = rng.permutation(np.concatenate([special, fill]))
+    return nodes, points, size
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spline_and_points())
+def test_spline_call_equals_np_interp(case):
+    nodes, points, size = case
+    f = Spline1D(nodes)
+    grid = np.linspace(0.0, 1.0, nodes.size)
+    expected = np.interp(points, grid, nodes)
+    # every point is evaluated in calls of `size` points
+    got = np.concatenate([f(points[i:i + size])
+                          for i in range(0, points.size, size)])
+    assert np.array_equal(got, expected, equal_nan=True)
+    half = points.size // 2
+    shaped = points[:2 * half].reshape(2, half)
+    assert f(shaped).shape == shaped.shape
+    assert np.array_equal(f(shaped), np.interp(shaped, grid, nodes), equal_nan=True)
+    for v in points[:3]:
+        got_scalar = f(float(v))
+        assert np.shape(got_scalar) == ()
+        assert np.array_equal(got_scalar, np.interp(float(v), grid, nodes),
+                              equal_nan=True)
