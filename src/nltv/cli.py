@@ -96,8 +96,9 @@ def write_signal_csv(path: str, values, header: str | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(header + "\n")
-        for v in np.asarray(values, dtype=float).ravel():
-            fh.write(format(float(v), ".17g") + "\n")
+        # one printf-style pass; "%.17g" % v is format(v, ".17g")
+        flat = np.asarray(values, dtype=float).ravel().tolist()
+        fh.write(("%.17g\n" * len(flat)) % tuple(flat))
 
 
 def _pgm_tokens(data: bytes):
@@ -118,6 +119,18 @@ def _pgm_tokens(data: bytes):
         pos = end
     while True:
         yield len(data), None
+
+
+def _plain_p2_pixels(raster: bytes, count: int):
+    """The first ``count`` pixels of a P2 raster at once, if they are plain
+    decimal tokens of at most 9 digits (so neither a comment nor a uint32
+    overflow); else None, and the positional tokenizer reads the raster and
+    reports any error."""
+    words = raster.split()[:count]
+    if (len(words) != count or max(map(len, words)) > 9
+            or not b"".join(words).isdigit()):
+        return None
+    return np.array(words, dtype=np.uint32)
 
 
 def read_pgm(path: str):
@@ -152,17 +165,19 @@ def read_pgm(path: str):
         raise InputFormatError(f"{path}: maxval {maxval} exceeds 65535")
     count = width * height
     if magic == b"P2":
-        pixels = np.empty(count, dtype=np.uint32)
-        for k in range(count):
-            pos, tok = next(tokens)
-            if tok is None:
-                raise InputFormatError(f"{path}: byte {pos}: expected "
-                                       f"{count} pixels, got {k}")
-            try:
-                pixels[k] = int(tok)
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}: byte {pos}: bad pixel {tok!r}") from None
+        pixels = _plain_p2_pixels(data[maxval_end:], count)
+        if pixels is None:
+            pixels = np.empty(count, dtype=np.uint32)
+            for k in range(count):
+                pos, tok = next(tokens)
+                if tok is None:
+                    raise InputFormatError(f"{path}: byte {pos}: expected "
+                                           f"{count} pixels, got {k}")
+                try:
+                    pixels[k] = int(tok)
+                except ValueError:
+                    raise InputFormatError(
+                        f"{path}: byte {pos}: bad pixel {tok!r}") from None
     else:
         # single whitespace byte after the maxval token, then the raster
         start = maxval_end + 1

@@ -103,9 +103,25 @@ class Stencil:
         return pos.ravel(), neg.ravel()
 
     def scatter(self, q: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`gather`."""
-        pos, neg = self.scatter_ends(q)
-        return pos - neg
+        """Adjoint of :meth:`gather`: adds each pair value onto its base cell
+        and subtracts it from its partner, in one accumulator."""
+        out = np.zeros(self.shape)
+        for base, shifted, block, start, stop, _ in self._blocks:
+            qb = q[start:stop].reshape(block)
+            out[base] += qb
+            out[shifted] -= qb
+        return out.ravel()
+
+    def project(self, q: np.ndarray) -> np.ndarray:
+        """Clip each term's block of the pair vector ``q`` to [-w, w] in
+        place; returns ``q``."""
+        for *_, start, stop, w in self._blocks:
+            # not np.clip with scalar bounds: that keeps -0.0 where the
+            # array-bound clip returns 0.0
+            qb = q[start:stop]
+            np.maximum(qb, -w, out=qb)
+            np.minimum(qb, w, out=qb)
+        return q
 
     def pair_weights(self) -> np.ndarray:
         """The weight of every entry of the pair vector."""
@@ -114,9 +130,14 @@ class Stencil:
 
     def value(self, f, p: float) -> float:
         """sum of w |f_i - f_{i+o}|^p over all pairs."""
-        if self.size == 0:
-            return 0.0
-        t = np.abs(self.gather(f)) ** p
+        return self.pair_value(self.gather(f), p)
+
+    def pair_value(self, g: np.ndarray, p: float) -> float:
+        """sum of w |g|^p over the pair vector ``g``, e.g. a :meth:`gather`
+        result. For p = 1 the power is skipped (x ** 1.0 is x exactly)."""
+        t = np.abs(g)
+        if p != 1:
+            t **= p
         for _, _, _, start, stop, w in self._blocks:
             t[start:stop] *= w
         return float(np.sum(t))

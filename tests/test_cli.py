@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nltv import cli
 from nltv.cli import (
     InputFormatError,
     UsageError,
@@ -93,6 +97,16 @@ def test_read_signal_csv(tmp_path):
         read_signal_csv(str(empty))
 
 
+def test_write_signal_csv_matches_per_value_loop(tmp_path):
+    rng = np.random.default_rng(41)
+    values = rng.standard_normal(16_384) * 10.0 ** rng.integers(-300, 300, 16_384)
+    values[:9] = [0.0, -0.0, 5e-324, 0.1, 1e16, math.pi, math.inf, -math.inf, math.nan]
+    path = tmp_path / "s.csv"
+    write_signal_csv(str(path), values.reshape(128, 128), header="# hdr")
+    expected = "# hdr\n" + "".join(format(float(v), ".17g") + "\n" for v in values)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
 def test_signal_roundtrip(tmp_path):
     path = tmp_path / "sig.csv"
     values = np.random.default_rng(0).standard_normal(17)
@@ -107,6 +121,50 @@ def test_p2_pgm_example(tmp_path):
     assert maxval == 255
     assert arr.tolist() == [[0.0, 0.0], [1.0, 1.0]]
     assert image_from_pgm(arr).coeffs.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+
+
+_PLAIN_TOKEN = st.integers(0, 70_000).map(str)
+_ANY_TOKEN = st.one_of(
+    _PLAIN_TOKEN,
+    st.sampled_from(["+5", "1_0", "-3", "007", "4294967295", "4294967296",
+                     "99999999999999999999999", "5.0", "x", "\u0663", "12#c"]))
+_SEPARATORS = st.sampled_from([" ", "\n", "\t", "\r\n", " \x0b", "\x0c", "\n# 7 c\n", " #8\n"])
+
+
+@st.composite
+def _p2_files(draw):
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([1, 255, 300, 65535]))
+    # half the files hold only plain decimal tokens, so the one-conversion
+    # path is taken often; trailing tokens and short rasters in both halves
+    tokens = _PLAIN_TOKEN if draw(st.booleans()) else _ANY_TOKEN
+    words = draw(st.lists(tokens, max_size=width * height + 3))
+    seps = draw(st.lists(_SEPARATORS if draw(st.booleans()) else st.just(" "),
+                         min_size=len(words), max_size=len(words)))
+    text = f"P2\n{width} {height}\n{maxval}" + "".join(
+        sep + word for sep, word in zip(seps, words))
+    data = text.encode("utf-8") + draw(st.sampled_from([b"", b"\n", b" "]))
+    cut = draw(st.integers(0, len(data)))
+    return data[:cut] if draw(st.booleans()) else data
+
+
+def _read_outcome(path):
+    try:
+        arr, maxval = read_pgm(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return arr.shape, arr.tobytes(), maxval
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_p2_files())
+def test_p2_fast_path_matches_positional_reader(tmp_path, data):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    got = _read_outcome(str(path))
+    with mock.patch.object(cli, "_plain_p2_pixels", return_value=None):
+        assert _read_outcome(str(path)) == got
 
 
 def test_p5_roundtrip_quantization_bound(tmp_path):
