@@ -122,15 +122,12 @@ def _pgm_tokens(data: bytes):
 
 
 def _plain_p2_pixels(raster: bytes, count: int):
-    """The first ``count`` pixels of a P2 raster at once, if they are plain
-    decimal tokens of at most 9 digits (so neither a comment nor a uint32
-    overflow); else None, and the positional tokenizer reads the raster and
-    reports any error."""
+    """The first ``count`` P2 pixels in one call if they are plain decimals
+    of at most 9 digits (no comment, no uint32 overflow); else None."""
     words = raster.split()[:count]
-    if (len(words) != count or max(map(len, words)) > 9
-            or not b"".join(words).isdigit()):
-        return None
-    return np.array(words, dtype=np.uint32)
+    if len(words) == count and max(map(len, words)) <= 9 and b"".join(words).isdigit():
+        return np.array(words, dtype=np.uint32)
+    return None
 
 
 def read_pgm(path: str):

@@ -238,9 +238,7 @@ def _solve(d, mu, stencil: Stencil, p, solver: SolverConfig):
         raise ValueError("init must have the same size as the data")
 
     def total_energy(x, diffs=None):
-        # diffs: stencil.gather(x), when the caller already has it
-        diffs = stencil.gather(x) if diffs is None else diffs
-        return mu * (0.5 * float(np.sum((x - d) ** 2)) + stencil.pair_value(diffs, p))
+        return mu * (0.5 * float(np.sum((x - d) ** 2)) + stencil.value(x, p, diffs))
 
     tracker = _Tracker(f0, total_energy(f0), solver.tol, solver.plateau)
     if stencil.size == 0:
@@ -253,26 +251,22 @@ def _solve(d, mu, stencil: Stencil, p, solver: SolverConfig):
 def _pdhg(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
     """First-order primal-dual iteration; the problem is 1-strongly convex.
 
-    Each stencil pair carries one dual variable; K = ``gather``, K^T =
-    ``scatter``, L = 2 max degree >= |K|^2. For p = 1 the dual problem
-    min_{|q| <= w} 1/2 |K^T q - d|^2 is driven by accelerated projected
-    ascent with function restart, the primal being f = d - K^T q. As K is
-    linear, the momentum point q_k + c (q_k - q_{k-1}) moves forward to
-    z_k + c (z_k - z_{k-1}) with z_k = q_k + K f_k / L, so a step is one
-    projection, one scatter (f_{k+1}) and one gather (K f_{k+1}, which gives
-    z_{k+1} and the energy); a restart projects z_k and costs one more of
-    each. For p = 2 both the fidelity and the dual of the regularizer are
-    strongly convex and the classical primal-dual iteration with constant
-    steps converges linearly; K f_bar = K f_{k+1} + theta (K f_{k+1} - K f_k)
-    reuses the gather the energy needs.
+    Each stencil pair carries one dual variable. For p = 1 the dual problem
+    is the box-constrained quadratic min_{|q| <= w} 1/2 |K^T q - d|^2 and is
+    driven by accelerated projected ascent with function restart (primal
+    recovered as f = d - K^T q); K is linear, so the momentum point moves
+    forward to z_k + c (z_k - z_{k-1}) with z_k = q_k + K f_k / L. For p = 2
+    both the fidelity and the dual of the regularizer are strongly convex and
+    the classical primal-dual iteration with constant steps converges
+    linearly. Step sizes come from the operator norm bound
+    |K|^2 <= L = 2 max degree.
     """
     gather, scatter = stencil.gather, stencil.scatter
     op_norm_sq = 2.0 * float(stencil.max_degree)
     converged = False
     it = 0
     if p == 1:
-        # q_0 = 0, f_0 = d
-        z = gather(d) / op_norm_sq
+        z = gather(d) / op_norm_sq  # q_0 = 0, f_0 = d
         z_prev = z
         t_acc = 1.0
         dual_last = math.inf
@@ -308,22 +302,20 @@ def _pdhg(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
         theta = 1.0 / (1.0 + rate)
         shrink = 1.0 + sigma / (2.0 * wn)
         f = f0.copy()
-        g = gather(f)
-        g_bar = g
+        f_bar = f.copy()
         q = np.zeros(stencil.size)
         scale = 1.0 + float(np.max(np.abs(d)))
         small_steps = 0
         for it in range(1, solver.max_iter + 1):
-            q = (q + sigma * g_bar) / shrink
+            q = (q + sigma * gather(f_bar)) / shrink
             f_new = (f - tau * scatter(q) + tau * d) / (1.0 + tau)
             step_inf = float(np.max(np.abs(f_new - f)))
-            g_new = gather(f_new)
-            g_bar = g_new + theta * (g_new - g)
-            f, g = f_new, g_new
+            f_bar = f_new + theta * (f_new - f)
+            f = f_new
             # individual steps can vanish mid-flight (the alternation passes
             # through f periodically), so stagnation must be consecutive
             small_steps = small_steps + 1 if step_inf <= 1e-13 * scale else 0
-            if tracker.step(f, total_energy(f, g)) and small_steps >= solver.plateau:
+            if tracker.step(f, total_energy(f)) and small_steps >= solver.plateau:
                 converged = True
                 break
     return it, converged

@@ -316,21 +316,15 @@ def _factor_2d(dx: int, dy: int, grid_n: int, kind: KernelKind, kernel_n: int,
     ys = np.linspace(ylo, yhi, 5)
     total = 0.0
     var = 0.0
-    # kernel_eval's rules: the Euclidean norm (disc) or the sup-norm against r
-    if kernel.kind is KernelKind.DISC2D:
-        def phi(ux, uy, norm):
-            return np.where(norm <= r, kernel.height, 0.0)
-    else:
-        def phi(ux, uy, norm):
-            return np.where(np.maximum(np.abs(ux), np.abs(uy)) <= r,
-                            kernel.height, 0.0)
+    disc = kernel.kind is KernelKind.DISC2D
     for i in range(4):
         for j in range(4):
             ux = rng.uniform(xs[i], xs[i + 1], per_stratum)
             uy = rng.uniform(ys[j], ys[j + 1], per_stratum)
             norm = np.maximum(np.sqrt(ux * ux + uy * uy), 1e-300)
-            vals = (2.0 * phi(ux, uy, norm) * _tent(ux, dx, h) * _tent(uy, dy, h)
-                    / norm ** p)
+            vals = 2.0 * kernel.height * _tent(ux, dx, h) * _tent(uy, dy, h) / norm ** p
+            # kernel_eval's rules: the Euclidean norm (disc) or the sup-norm against r
+            vals[(norm if disc else np.maximum(np.abs(ux), np.abs(uy))) > r] = 0.0
             cell_area = (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
             total += cell_area * float(vals.mean())
             var += (cell_area * float(vals.std(ddof=1)) / math.sqrt(per_stratum)) ** 2

@@ -89,27 +89,27 @@ class Stencil:
             np.subtract(a[base], a[shifted], out=out[start:stop].reshape(block))
         return out
 
+    def _add_ends(self, q, to_base, to_partner, partner_op):
+        # adds q onto the base cells; partner_op(partner cells, q) at the partners
+        for base, shifted, block, start, stop, _ in self._blocks:
+            qb = q[start:stop].reshape(block)
+            to_base[base] += qb
+            ends = to_partner[shifted]
+            partner_op(ends, qb, out=ends)
+
     def scatter_ends(self, q: np.ndarray) -> tuple:
         """Flattened sums of the pair values ``q`` onto the base cells and
         onto the partner cells, each accumulated over the terms in order.
         They are returned apart because (g + base sums) - partner sums and
         g + (base sums - partner sums) round differently."""
-        pos = np.zeros(self.shape)
-        neg = np.zeros(self.shape)
-        for base, shifted, block, start, stop, _ in self._blocks:
-            qb = q[start:stop].reshape(block)
-            pos[base] += qb
-            neg[shifted] += qb
+        pos, neg = np.zeros(self.shape), np.zeros(self.shape)
+        self._add_ends(q, pos, neg, np.add)
         return pos.ravel(), neg.ravel()
 
     def scatter(self, q: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`gather`: adds each pair value onto its base cell
-        and subtracts it from its partner, in one accumulator."""
+        """Adjoint of :meth:`gather`, summed in one accumulator."""
         out = np.zeros(self.shape)
-        for base, shifted, block, start, stop, _ in self._blocks:
-            qb = q[start:stop].reshape(block)
-            out[base] += qb
-            out[shifted] -= qb
+        self._add_ends(q, out, out, np.subtract)
         return out.ravel()
 
     def project(self, q: np.ndarray) -> np.ndarray:
@@ -128,14 +128,11 @@ class Stencil:
         return np.concatenate([np.full(stop - start, w)
                                for _, _, _, start, stop, w in self._blocks] or [[]])
 
-    def value(self, f, p: float) -> float:
-        """sum of w |f_i - f_{i+o}|^p over all pairs."""
-        return self.pair_value(self.gather(f), p)
-
-    def pair_value(self, g: np.ndarray, p: float) -> float:
-        """sum of w |g|^p over the pair vector ``g``, e.g. a :meth:`gather`
-        result. For p = 1 the power is skipped (x ** 1.0 is x exactly)."""
-        t = np.abs(g)
+    def value(self, f, p: float, diffs=None) -> float:
+        """sum of w |f_i - f_{i+o}|^p over all pairs; ``diffs`` is
+        ``gather(f)`` if the caller has it. For p = 1 the power is skipped
+        (x ** 1.0 is x exactly)."""
+        t = np.abs(self.gather(f) if diffs is None else diffs)
         if p != 1:
             t **= p
         for _, _, _, start, stop, w in self._blocks:

@@ -60,9 +60,9 @@ def _case(name):
     raise KeyError(name)
 
 
-# iteration count and sha256 of minimizer.tobytes(); the primal-dual pins were
-# re-recorded, with unchanged iteration counts, when one iteration went to one
-# scatter and one gather (the minimizers moved by at most 1.6e-11, see
+# iteration count and sha256 of minimizer.tobytes(); the p = 1 primal-dual pins
+# were re-recorded, with unchanged iteration counts, when one iteration went to
+# one scatter and one gather (the minimizers moved by at most 4.4e-16, see
 # test_pdhg_matches_reference_iteration)
 GOLDEN = {
     "closed-1d-box":
@@ -70,7 +70,7 @@ GOLDEN = {
     "closed-1d-box2":
         (206, "24501cd580bc18a1280ad6f2a0a9426d8ff7b3ab246fcd3a5d1fa956df49fa65"),
     "closed-1d-box-p2":
-        (39, "c91df77fff4e563487606c38de132731e5c9d3b27415396e97d71b0781d98557"),
+        (39, "8d573ff911aa4025af5be4bd60f973ddcfd09df8bdd2f5308ef6e4b51f41fe04"),
     "closed-2d-disc":
         (79, "1eaedd01958fe658b75526eceecbd50dc323d837476ad6b99ea680ccaa5e4888"),
     "oracle-1d":
