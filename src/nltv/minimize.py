@@ -441,24 +441,6 @@ def taut_string_1d(data, lam: float) -> np.ndarray:
     return u
 
 
-def sobolev_minimizer_1d(data, lam: float) -> np.ndarray:
-    """Exact minimizer of 1/2 sum (u_i - d_i)^2 + lam * sum (u_{i+1} - u_i)^2
-    via the tridiagonal normal equations."""
-    from scipy.linalg import solve_banded
-
-    d = np.asarray(data, dtype=float).ravel()
-    n = d.size
-    if n == 1:
-        return d.copy()
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -2.0 * lam
-    ab[2, :-1] = -2.0 * lam
-    ab[1, :] = 1.0 + 4.0 * lam
-    ab[1, 0] = 1.0 + 2.0 * lam
-    ab[1, -1] = 1.0 + 2.0 * lam
-    return solve_banded((1, 1), ab, d)
-
-
 def gamma_experiment(data: DataTerm, p: float, alpha: float, n_list,
                      solver: Optional[SolverConfig] = None) -> list:
     """Sweep the kernel scale at fixed grid; report the L1 distance of each

@@ -11,15 +11,16 @@ Two methods are available:
   inputs the integral reduces exactly (Fubini) to per-cell-pair geometric
   factors which are integrated numerically; for splines and callbacks a band
   |x - y| < delta is excluded and the value extrapolated linearly in delta.
-* ``mc``: stratified Monte Carlo with one counter-based stream per task
-  derived from (seed, task id), so results are reproducible bit for bit
-  regardless of evaluation order.
+* ``mc``: stratified Monte Carlo through one sampler, ``_stratified_mc``,
+  with one counter-based stream per task derived from (seed, task id), so
+  results are reproducible bit for bit regardless of evaluation order.
 
 Geometric factors depend only on the relative cell offset and are cached.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -92,8 +93,10 @@ def _stream(seed: int, task: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(task)]))
 
 
+@lru_cache(maxsize=None)
 def _gauss_rule(g: int):
     nodes, weights = np.polynomial.legendre.leggauss(g)
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
@@ -115,28 +118,33 @@ def _refine(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stratified_mc(fn, a: float, b: float, nsamples: int, rng, nstrata: int):
-    """Stratified uniform MC of a vectorized integrand over [a, b]."""
-    edges = np.linspace(a, b, nstrata + 1)
-    per = max(2, nsamples // nstrata)
+def _stratified_mc(fn, axes, nsamples: int, rng):
+    """Stratified uniform MC of a vectorized integrand of len(axes) variables.
+
+    ``axes`` holds one edge list per axis; the strata are the boxes of their
+    product grid, first axis outermost. Each box draws its share of the budget
+    once per axis, in axis order, and calls ``fn`` on the draws. Returns the
+    estimate and its standard error.
+    """
+    boxes = list(itertools.product(*(zip(e[:-1], e[1:]) for e in axes)))
+    per = max(2, nsamples // len(boxes))
     total = 0.0
     var = 0.0
-    for s in range(nstrata):
-        width = edges[s + 1] - edges[s]
-        u = rng.uniform(edges[s], edges[s + 1], per)
-        vals = fn(u)
-        total += width * float(vals.mean())
-        var += (width * float(vals.std(ddof=1)) / math.sqrt(per)) ** 2
+    for box in boxes:
+        vol = math.prod(hi - lo for lo, hi in box)
+        vals = fn(*(rng.uniform(lo, hi, per) for lo, hi in box))
+        total += vol * float(vals.mean())
+        var += (vol * float(vals.std(ddof=1)) / math.sqrt(per)) ** 2
     return total, math.sqrt(var)
+
+
+def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
+    # correlation length of two cells of width h at index distance d
+    return np.maximum(h - np.abs(t - d * h), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # geometric factors: 1D
-
-
-def _overlap_1d(u: np.ndarray, d: int, h: float) -> np.ndarray:
-    # correlation length of two cells of width h at index distance d
-    return np.maximum(h - np.abs(u - d * h), 0.0)
 
 
 def _power_transformed(fn, b: float, p: float):
@@ -167,7 +175,7 @@ def _factor_1d(d: int, grid_m: int, kind: KernelKind, kernel_n: int, method: str
 
     def integrand(u):
         uu = np.maximum(u, 1e-300)
-        return 2.0 * height * _overlap_1d(u, d, h) / uu ** p
+        return 2.0 * height * _tent(u, d, h) / uu ** p
 
     singular = d == 1 and p > 1.0 and lo == 0.0
     if singular and p >= 2.0:
@@ -192,21 +200,20 @@ def _factor_1d(d: int, grid_m: int, kind: KernelKind, kernel_n: int, method: str
     if singular:
         split = d * h if lo < d * h < hi else hi
         v1, e1 = _stratified_mc(_power_transformed(integrand, split, p),
-                                0.0, 1.0, nsamples // 2, rng, _STRATA_1D)
+                                [np.linspace(0.0, 1.0, _STRATA_1D + 1)],
+                                nsamples // 2, rng)
         v2, e2 = (0.0, 0.0)
         if split < hi:
-            v2, e2 = _stratified_mc(integrand, split, hi, nsamples // 2, rng,
-                                    _STRATA_1D)
+            v2, e2 = _stratified_mc(integrand,
+                                    [np.linspace(split, hi, _STRATA_1D + 1)],
+                                    nsamples // 2, rng)
         return v1 + v2, math.hypot(e1, e2)
-    return _stratified_mc(integrand, lo, hi, nsamples, rng, _STRATA_1D)
+    return _stratified_mc(integrand, [np.linspace(lo, hi, _STRATA_1D + 1)],
+                          nsamples, rng)
 
 
 # ---------------------------------------------------------------------------
 # geometric factors: 2D
-
-
-def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
-    return np.maximum(h - np.abs(t - d * h), 0.0)
 
 
 def _kink_angles(knots_x, knots_y, kernel: Kernel) -> np.ndarray:
@@ -310,25 +317,17 @@ def _factor_2d(dx: int, dy: int, grid_n: int, kind: KernelKind, kernel_n: int,
     ylo, yhi = max((dy - 1) * h, -r), min((dy + 1) * h, r)
     if xhi <= xlo or yhi <= ylo:
         return 0.0, 0.0
-    rng = _stream(seed, 1024 * dx + dy)
-    per_stratum = max(2, nsamples // 16)
-    xs = np.linspace(xlo, xhi, 5)
-    ys = np.linspace(ylo, yhi, 5)
-    total = 0.0
-    var = 0.0
     disc = kernel.kind is KernelKind.DISC2D
-    for i in range(4):
-        for j in range(4):
-            ux = rng.uniform(xs[i], xs[i + 1], per_stratum)
-            uy = rng.uniform(ys[j], ys[j + 1], per_stratum)
-            norm = np.maximum(np.sqrt(ux * ux + uy * uy), 1e-300)
-            vals = 2.0 * kernel.height * _tent(ux, dx, h) * _tent(uy, dy, h) / norm ** p
-            # kernel_eval's rules: the Euclidean norm (disc) or the sup-norm against r
-            vals[(norm if disc else np.maximum(np.abs(ux), np.abs(uy))) > r] = 0.0
-            cell_area = (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
-            total += cell_area * float(vals.mean())
-            var += (cell_area * float(vals.std(ddof=1)) / math.sqrt(per_stratum)) ** 2
-    return total, math.sqrt(var)
+
+    def integrand(ux, uy):
+        norm = np.maximum(np.sqrt(ux * ux + uy * uy), 1e-300)
+        vals = 2.0 * kernel.height * _tent(ux, dx, h) * _tent(uy, dy, h) / norm ** p
+        # kernel_eval's rules: the Euclidean norm (disc) or the sup-norm against r
+        vals[(norm if disc else np.maximum(np.abs(ux), np.abs(uy))) > r] = 0.0
+        return vals
+
+    axes = [np.linspace(xlo, xhi, 5), np.linspace(ylo, yhi, 5)]
+    return _stratified_mc(integrand, axes, nsamples, _stream(seed, 1024 * dx + dy))
 
 
 # ---------------------------------------------------------------------------
@@ -460,23 +459,19 @@ def _curve_gauss_1d(func, knots: np.ndarray, kernel: Kernel, cfg: OracleConfig,
 def _curve_mc_1d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     r = kernel.support_radius
     height = kernel.height
-    per = max(1000, cfg.samples // _STRATA_1D)
-    edges = np.linspace(-r, r, _STRATA_1D + 1)
-    total = 0.0
-    var = 0.0
-    for s in range(_STRATA_1D):
-        rng = _stream(cfg.seed, s)
-        u = rng.uniform(edges[s], edges[s + 1], per)
-        x = rng.uniform(0.0, 1.0, per)
+
+    def integrand(u, x):
         y = x - u
         ok = (y > 0.0) & (y < 1.0) & (u != 0.0)
         uu = np.where(ok, np.abs(u), 1.0)
-        vals = np.where(ok, height * np.abs(func(x) - func(np.clip(y, 0.0, 1.0)))
+        return np.where(ok, height * np.abs(func(x) - func(np.clip(y, 0.0, 1.0)))
                         ** cfg.p / uu ** cfg.p, 0.0)
-        width = edges[s + 1] - edges[s]
-        total += width * float(vals.mean())
-        var += (width * float(vals.std(ddof=1)) / math.sqrt(per)) ** 2
-    return EvalReport(total, math.sqrt(var), 0.0, cfg)
+
+    axes = [np.linspace(-r, r, _STRATA_1D + 1), (0, 1)]
+    # at least 1,000 samples in each of the u strata
+    value, stderr = _stratified_mc(integrand, axes, max(_STRATA_1D * 1000, cfg.samples),
+                                   _stream(cfg.seed, 0))
+    return EvalReport(value, stderr, 0.0, cfg)
 
 
 def _kernel_values_2d(kernel: Kernel, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -492,24 +487,20 @@ def _kernel_values_2d(kernel: Kernel, u1: np.ndarray, u2: np.ndarray) -> np.ndar
 
 def _callable_mc_2d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     r = kernel.support_radius
-    nsamples = cfg.samples
-    rng = _stream(cfg.seed, 0)
-    x1 = rng.uniform(0.0, 1.0, nsamples)
-    x2 = rng.uniform(0.0, 1.0, nsamples)
-    u1 = rng.uniform(-r, r, nsamples)
-    u2 = rng.uniform(-r, r, nsamples)
-    y1, y2 = x1 - u1, x2 - u2
-    ok = (y1 > 0) & (y1 < 1) & (y2 > 0) & (y2 < 1)
-    norm = np.sqrt(u1 * u1 + u2 * u2)
-    ok &= norm > 0
-    phi = _kernel_values_2d(kernel, u1, u2)
-    fx = func(x1, x2)
-    fy = func(np.clip(y1, 0, 1), np.clip(y2, 0, 1))
-    safe = np.where(ok, norm, 1.0)
-    vals = np.where(ok, phi * np.abs(fx - fy) ** cfg.p / safe ** cfg.p, 0.0)
-    measure = (2.0 * r) ** 2
-    value = measure * float(vals.mean())
-    stderr = measure * float(vals.std(ddof=1)) / math.sqrt(nsamples)
+
+    def integrand(x1, x2, u1, u2):
+        y1, y2 = x1 - u1, x2 - u2
+        ok = (y1 > 0) & (y1 < 1) & (y2 > 0) & (y2 < 1)
+        norm = np.sqrt(u1 * u1 + u2 * u2)
+        ok &= norm > 0
+        phi = _kernel_values_2d(kernel, u1, u2)
+        fx = func(x1, x2)
+        fy = func(np.clip(y1, 0, 1), np.clip(y2, 0, 1))
+        safe = np.where(ok, norm, 1.0)
+        return np.where(ok, phi * np.abs(fx - fy) ** cfg.p / safe ** cfg.p, 0.0)
+
+    value, stderr = _stratified_mc(integrand, [(0, 1), (0, 1), (-r, r), (-r, r)],
+                                   cfg.samples, _stream(cfg.seed, 0))
     return EvalReport(value, stderr, 0.0, cfg)
 
 

@@ -24,6 +24,7 @@ from nltv import (
 )
 from nltv.cli import main
 from nltv.minimize import SCHEME_CLOSED_1D, SCHEME_CLOSED_2D, SCHEME_ORACLE
+from nltv.oracle import geometric_factor_1d, geometric_factor_2d
 
 
 def _signal(n, seed):
@@ -98,8 +99,8 @@ VERIFY_GOLDEN = {
                 "oracle      3.13879844184\n"
                 "rel-error   1.023e-04 (tolerance 1.000e-02)\n"),
     "spline": ("closed-form 7.03367238716\n"
-               "oracle      7.04208970098\n"
-               "rel-error   1.197e-03 (tolerance 1.000e-02)\n"),
+               "oracle      7.03676587123\n"
+               "rel-error   4.398e-04 (tolerance 1.000e-02)\n"),
 }
 
 
@@ -133,7 +134,7 @@ def _mc_case(name):
 
 # float.hex() of the oracle's value and stderr_estimate
 MC_GOLDEN = {
-    "spline": ("0x1.0d7ca2e6b78dep+2", "0x1.c7369d3c4aba2p-8"),
+    "spline": ("0x1.0dc1047614d97p+2", "0x1.c6b53b9d32dfep-8"),
     "callable-2d-square": ("0x1.31bae0030f1dep+0", "0x1.0c6224b85ee7dp-8"),
     "callable-2d-disc": ("0x1.3e13cc4fc3eb2p-1", "0x1.1cd04c49df1e7p-9"),
 }
@@ -143,3 +144,29 @@ MC_GOLDEN = {
 def test_mc_oracle_report_is_pinned(name):
     report = oracle_eval(*_mc_case(name))
     assert (report.value.hex(), report.stderr_estimate.hex()) == MC_GOLDEN[name]
+
+
+# float.hex() of (value, error) of Monte Carlo geometric factors: the 1D
+# adjacent pair at p = 1.5 (singular, sampled in two pieces), a 1D pair at
+# distance 2 and two 2D square-kernel offsets
+FACTOR_GOLDEN = {
+    "1d-singular": ("0x1.a81f9d3bbadd0p+1", "0x1.82a3fb40e60e6p-13"),
+    "1d-d2": ("0x1.5f683c419f2a1p-2", "0x1.989e58143e2bcp-15"),
+    "2d-square-10": ("0x1.7ad421048c3c3p-6", "0x1.ce3b3c457f888p-15"),
+    "2d-square-21": ("0x1.619f1dce26b15p-8", "0x1.1ec0202a78ed6p-17"),
+}
+
+
+def _factor(name):
+    if name.startswith("1d"):
+        cfg = OracleConfig(method="mc", p=1.5, samples=50_000, seed=3)
+        return geometric_factor_1d(1 if name == "1d-singular" else 2, 8,
+                                   Kernel(KernelKind.BOX1D, 4), cfg)
+    cfg = OracleConfig(method="mc", samples=50_000, seed=3)
+    return geometric_factor_2d((1, 0) if name == "2d-square-10" else (2, 1), 6,
+                               Kernel(KernelKind.SQUARE2D, 3), cfg)
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_GOLDEN))
+def test_mc_geometric_factor_is_pinned(name):
+    assert tuple(float(v).hex() for v in _factor(name)) == FACTOR_GOLDEN[name]

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nltv import (
     Image2D,
@@ -19,7 +21,10 @@ from nltv import (
 from nltv.oracle import (
     _factor_1d,
     _factor_2d,
+    _gauss_rule,
     _kernel_values_2d,
+    _stratified_mc,
+    _stream,
     geometric_factor_1d,
     geometric_factor_2d,
     oracle_stencil,
@@ -216,6 +221,14 @@ def test_gauss_factors_are_shared_between_eval_and_stencil(f, kernel):
     assert oracle_eval(f, kernel, cfg).value == value
 
 
+def test_gauss_rule_is_shared_and_read_only():
+    nodes, weights = _gauss_rule(8)
+    assert _gauss_rule(8)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
 def test_dimension_and_exponent_errors():
     with pytest.raises(ValueError):
         oracle_eval(PiecewiseConstant1D([0.0, 1.0]), DISC,
@@ -283,3 +296,92 @@ def test_fit_stencil_recovers_closed_forms():
         fit_stencil(KernelKind.DISC2D, 9, cfg)
     with pytest.raises(ValueError):
         fit_stencil(KernelKind.BOX1D, 4, cfg)
+
+
+# The Monte Carlo loops that _stratified_mc replaced, kept as references: the
+# 1D sampler of _factor_1d, the 4x4 loop of _factor_2d and the one-box
+# estimator of _callable_mc_2d.
+
+
+def _old_mc_1d(fn, a, b, nsamples, rng, nstrata):
+    edges = np.linspace(a, b, nstrata + 1)
+    per = max(2, nsamples // nstrata)
+    total = 0.0
+    var = 0.0
+    for s in range(nstrata):
+        width = edges[s + 1] - edges[s]
+        u = rng.uniform(edges[s], edges[s + 1], per)
+        vals = fn(u)
+        total += width * float(vals.mean())
+        var += (width * float(vals.std(ddof=1)) / math.sqrt(per)) ** 2
+    return total, math.sqrt(var)
+
+
+def _old_mc_4x4(fn, xlo, xhi, ylo, yhi, nsamples, rng):
+    per_stratum = max(2, nsamples // 16)
+    xs = np.linspace(xlo, xhi, 5)
+    ys = np.linspace(ylo, yhi, 5)
+    total = 0.0
+    var = 0.0
+    for i in range(4):
+        for j in range(4):
+            ux = rng.uniform(xs[i], xs[i + 1], per_stratum)
+            uy = rng.uniform(ys[j], ys[j + 1], per_stratum)
+            vals = fn(ux, uy)
+            cell_area = (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
+            total += cell_area * float(vals.mean())
+            var += (cell_area * float(vals.std(ddof=1)) / math.sqrt(per_stratum)) ** 2
+    return total, math.sqrt(var)
+
+
+def _old_mc_one_box(fn, r, nsamples, rng):
+    x1 = rng.uniform(0.0, 1.0, nsamples)
+    x2 = rng.uniform(0.0, 1.0, nsamples)
+    u1 = rng.uniform(-r, r, nsamples)
+    u2 = rng.uniform(-r, r, nsamples)
+    vals = fn(x1, x2, u1, u2)
+    measure = (2.0 * r) ** 2
+    return (measure * float(vals.mean()),
+            measure * float(vals.std(ddof=1)) / math.sqrt(nsamples))
+
+
+def _hex_pair(result):
+    return tuple(float(v).hex() for v in result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       width=st.lists(st.floats(1e-9, 2.0), min_size=2, max_size=2),
+       nsamples=st.integers(2, 3000), seed=st.integers(0, 2 ** 64 - 1),
+       task=st.integers(0, 2 ** 20), scale=st.integers(1, 2946))
+def test_stratified_mc_equals_the_loops_it_replaced(lo, width, nsamples, seed, task,
+                                                   scale):
+    (a, c), (wa, wc) = lo, width
+    b, d = a + wa, c + wc
+
+    def f1(u):
+        return np.exp(u) * np.cos(3.0 * u)
+
+    def f2(ux, uy):
+        return np.sin(ux) * uy + ux * ux
+
+    def f4(x1, x2, u1, u2):
+        return np.cos(x1 - u2) + x2 * u1
+
+    def streams():
+        return _stream(seed, task), _stream(seed, task)
+
+    old, new = streams()
+    assert (_hex_pair(_stratified_mc(f1, [np.linspace(a, b, 17)], nsamples, new))
+            == _hex_pair(_old_mc_1d(f1, a, b, nsamples, old, 16)))
+    old, new = streams()
+    assert (_hex_pair(_stratified_mc(f2, [np.linspace(a, b, 5), np.linspace(c, d, 5)],
+                                     nsamples, new))
+            == _hex_pair(_old_mc_4x4(f2, a, b, c, d, nsamples, old)))
+    # the one box has volume (2r)*(2r) where the old estimator had (2r)**2;
+    # they first differ in the last bit at scale 2947
+    r = 1.0 / scale
+    old, new = streams()
+    axes = [(0, 1), (0, 1), (-r, r), (-r, r)]
+    assert (_hex_pair(_stratified_mc(f4, axes, nsamples, new))
+            == _hex_pair(_old_mc_one_box(f4, r, nsamples, old)))
