@@ -241,7 +241,7 @@ def _solve(d, mu, stencil: Stencil, p, solver: SolverConfig):
         return mu * (0.5 * float(np.sum((x - d) ** 2)) + stencil.value(x, p, diffs))
 
     tracker = _Tracker(f0, total_energy(f0), solver.tol, solver.plateau)
-    if stencil.size == 0:
+    if stencil.max_degree == 0:
         return tracker.best, tracker.trace, 0, True
     run = _pdhg if solver.method == "pd" else _smoothed_descent
     iterations, converged = run(d, f0, stencil, p, solver, tracker, total_energy)
@@ -261,29 +261,39 @@ def _pdhg(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
     linearly. Step sizes come from the operator norm bound
     |K|^2 <= L = 2 max degree.
     """
-    gather, scatter = stencil.gather, stencil.scatter
+    gather, scatter, project = stencil.gather, stencil.scatter, stencil.project
     op_norm_sq = 2.0 * float(stencil.max_degree)
     converged = False
     it = 0
     if p == 1:
         z = gather(d) / op_norm_sq  # q_0 = 0, f_0 = d
-        z_prev = z
+        z_prev = z.copy()
+        q, g = np.empty_like(z), np.empty_like(z)
+        x, kq = np.empty_like(d), np.empty_like(d)
         t_acc = 1.0
         dual_last = math.inf
         for it in range(1, solver.max_iter + 1):
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            q = stencil.project(z + ((t_acc - 1.0) / t_next) * (z - z_prev))
-            x = d - scatter(q)
-            g = gather(x)
+            # q = project(z + c (z - z_prev)), x = d - K^T q, g = K x
+            np.subtract(z, z_prev, out=q)
+            q *= (t_acc - 1.0) / t_next
+            q += z
+            project(q)
+            np.subtract(d, scatter(q, out=kq), out=x)
+            gather(x, out=g)
             dual_obj = 0.5 * float(x @ x)
             if dual_obj > dual_last:
                 # momentum overshot: restart from the last point
                 t_next = 1.0
-                q = stencil.project(z.copy())
-                x = d - scatter(q)
-                g = gather(x)
+                np.copyto(q, z)
+                project(q)
+                np.subtract(d, scatter(q, out=kq), out=x)
+                gather(x, out=g)
                 dual_obj = 0.5 * float(x @ x)
-            z_prev, z = z, q + g / op_norm_sq
+            # z = q + g / L, into the buffer of z_prev
+            np.divide(g, op_norm_sq, out=z_prev)
+            z_prev += q
+            z, z_prev = z_prev, z
             t_acc = t_next
             dual_last = dual_obj
             if tracker.step(x, total_energy(x, g)):
@@ -300,7 +310,9 @@ def _pdhg(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
         tau = rate / 2.0
         sigma = rate / (2.0 * delta)
         theta = 1.0 / (1.0 + rate)
-        shrink = 1.0 + sigma / (2.0 * wn)
+        with np.errstate(divide="ignore"):
+            # a wrapped pair's dual value is pinned to 0
+            shrink = 1.0 + sigma / (2.0 * wn)
         f = f0.copy()
         f_bar = f.copy()
         q = np.zeros(stencil.size)

@@ -30,7 +30,7 @@ import numpy as np
 from .kernels import Kernel, KernelKind
 from .schemes_1d import PiecewiseConstant1D, Spline1D
 from .schemes_2d import Image2D, StencilWeights
-from .stencil import Stencil, in_reach, offset_slices, offsets_within_reach
+from .stencil import Stencil, in_reach, offsets_within_reach
 
 GAUSS = "gauss"
 MONTE_CARLO = "mc"
@@ -358,8 +358,7 @@ def _eval_piecewise_constant(a: np.ndarray, kernel: Kernel,
     n = a.shape[0]
     tasks = []
     for off in offsets_within_reach(kernel, n):
-        base, shifted = offset_slices(a.shape, off)
-        coeff_sum = float(np.sum(np.abs(a[base] - a[shifted]) ** cfg.p))
+        coeff_sum = Stencil(a.shape, [(off, 1.0)]).value(a, cfg.p)
         if coeff_sum > 0.0:
             tasks.append((_canonical(off), coeff_sum))
     if not tasks:
