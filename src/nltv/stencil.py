@@ -74,34 +74,32 @@ class Stencil:
         self._cells = math.prod(self.shape)
         strides = [math.prod(self.shape[a + 1:]) for a in range(len(self.shape))]
         self._blocks = []
-        self._fitting = []
-        weights = []
-        degree = np.zeros(self._cells, dtype=np.int64)
+        masks = []
         start = 0
-        for off, w in self.terms:
+        for off, _ in self.terms:
             if len(off) != len(self.shape):
                 raise ValueError(f"offset {off} does not match grid shape {self.shape}")
             k = sum(o * s for o, s in zip(off, strides))
             lo = max(-k, 0)
             m = max(self._cells - abs(k), 0)
-            # a pair of the grid iff the partner's coordinates do not wrap
-            valid = np.ones(m, dtype=bool)
-            coords = np.unravel_index(np.arange(lo, lo + m), self.shape)
-            for c, o, n in zip(coords, off, self.shape):
-                valid &= (c + o >= 0) & (c + o < n)
-            base, partner = slice(lo, lo + m), slice(lo + k, lo + k + m)
-            degree[base] += valid
-            degree[partner] += valid
-            weights.append(np.where(valid, w, 0.0))
-            self._blocks.append((base, partner, start, start + m))
-            if valid.any():
-                self._fitting.append(off)
+            # the cells whose partner at offset o lies on the grid form a box
+            fits = np.zeros(self.shape, dtype=bool)
+            fits[tuple(slice(max(-o, 0), max(n - max(o, 0), 0))
+                       for o, n in zip(off, self.shape))] = True
+            masks.append(fits.reshape(-1)[lo:lo + m])
+            self._blocks.append((slice(lo, lo + m), slice(lo + k, lo + k + m), start, start + m))
             start += m
         self.size = start
-        self._wn = np.concatenate(weights) if weights else np.zeros(0)
+        self._wn = np.zeros(self.size)
+        degree = np.zeros(self._cells, dtype=np.intp)
+        for (_, w), (base, partner, start, stop), valid in zip(self.terms, self._blocks, masks):
+            self._wn[start:stop][valid] = w
+            degree[base] += valid
+            degree[partner] += valid
         self._wn.flags.writeable = False
         self._neg_wn = -self._wn
         self.max_degree = int(degree.max(initial=0))
+        self._fitting = [off for (off, _), valid in zip(self.terms, masks) if valid.any()]
 
     def gather(self, x: np.ndarray, out=None) -> np.ndarray:
         """Pair differences f_i - f_{i+o} of the flattened vector ``x``,
@@ -131,8 +129,8 @@ class Stencil:
 
     def scatter(self, q: np.ndarray, out=None) -> np.ndarray:
         """Adjoint of :meth:`gather`, summed in one accumulator (``out`` if
-        given). Wrapped pairs enter it too, so ``q`` must be 0 there, as
-        :meth:`project` leaves it."""
+        given). On a ``q`` that is 0 on the wrapped pairs, as :meth:`project`
+        leaves it, it is the adjoint of the grid's difference operator."""
         if out is None:
             out = np.zeros(self._cells)
         else:
@@ -165,22 +163,22 @@ class Stencil:
     @functools.cached_property
     def op_norm_sq(self) -> float:
         """Upper bound L on |K|^2, the largest eigenvalue of K^T K, where K
-        maps a grid vector to the differences of its grid pairs (the rows of
-        :meth:`gather` on pairs of weight > 0 or not, wrapped pairs left
-        out): the smaller of 2 max_degree and the largest value of the
-        stencil symbol sum_o 2 (1 - cos w . o) over w in (2 pi / m) Z^d.
+        maps a grid vector to the differences f_i - f_{i+o} of all grid
+        pairs (the rows of :meth:`gather` without the wrapped pairs): the
+        smaller of 2 max_degree and the largest value of the stencil symbol
+        sum_o 2 (1 - cos w . o) over w in (2 pi / m) Z^d.
 
         Proof: with m >= n on every axis the grid lies in the torus
-        (Z / m)^d, and each grid pair (i, i + o) is the torus pair at the same
-        offset, so K is a submatrix of the torus difference operator K_T and
-        |K| <= |K_T|. K_T^T K_T = sum_o (2 I - S_o - S_-o), with S_o the
-        cyclic shift by o, is circulant; its eigenvalues are the symbol at
-        the frequencies above, and its largest is the bound. The other
-        bound is Gershgorin's on the graph Laplacian K^T K. Here m is
-        n + max |o| per axis over the terms that fit a pair, rounded up to
-        even so that w = pi is a frequency: the bound of the 1D
-        nearest-neighbour stencil is then 4 = 2 max_degree, and that of the
-        closed 2D stencil 12 instead of 16. Computed on first use."""
+        (Z / m)^d and each grid pair (i, i + o) is the torus pair at the
+        same offset, so K is a submatrix of the torus difference operator
+        K_T and |K| <= |K_T|. K_T^T K_T = sum_o (2 I - S_o - S_-o), with S_o
+        the cyclic shift by o, is circulant; its eigenvalues are the symbol
+        at the frequencies above. The other bound is Gershgorin's for the
+        graph Laplacian K^T K. Here m is n + max |o| per axis over the terms
+        that fit a pair, rounded up to even so that w = pi is a frequency:
+        the bound of the 1D nearest-neighbour stencil is then 4, and that of
+        the closed 2D stencil 12 where 2 max_degree is 16. Computed on first
+        use, so stencils that are only evaluated never pay for it."""
         if not self._fitting:
             return 0.0
         reach = np.abs(np.array(self._fitting)).max(axis=0)

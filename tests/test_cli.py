@@ -78,6 +78,26 @@ def test_non_finite_csv_is_an_input_error(tmp_path, capsys, token):
     assert capsys.readouterr().err.count("input error") == 2
 
 
+@pytest.mark.parametrize("command", ["denoise", "gamma"])
+@pytest.mark.parametrize("flag", ["--alpha", "--tol"])
+@pytest.mark.parametrize("token", ["inf", "nan"])
+def test_non_finite_solver_flags_are_usage_errors(tmp_path, capsys, command, flag,
+                                                  token):
+    # a solve with an infinite alpha would run every iteration and write the
+    # noisy input; one with an infinite tol would stop at once as converged
+    # (the flag is given twice; the last value counts)
+    sig = tmp_path / "s.csv"
+    write_signal_csv(str(sig), np.linspace(0.0, 1.0, 16))
+    out = tmp_path / "out.csv"
+    argv = [command, "--input", str(sig), "--alpha", "0.01", "--out", str(out)]
+    if command == "gamma":
+        argv += ["--scales", "2,4"]
+    argv += [flag, token]
+    assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # signal and image I/O
 

@@ -75,8 +75,12 @@ def test_energy_trivial_cases():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        params_1d(4, alpha=0.0)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            params_1d(4, alpha=alpha)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         EnergyParams(p=0.9, alpha=1.0, kernel=Kernel(KernelKind.BOX1D, 4),
                      grid_n=4, scheme=SCHEME_CLOSED_1D)
@@ -208,6 +212,142 @@ def test_stencil_projection_value_and_scatter_property(case):
     to_base, to_partner = stencil.scatter_ends(np.abs(qs))
     bound = 1e-15 * (to_base + to_partner) + 1e-300
     assert np.all(np.abs(stencil.scatter(qs) - (pos - neg)) <= bound)
+
+
+def _slice_blocks(shape, terms):
+    """The 2D-slice layout the flat-shift blocks replaced: per term, the
+    (base, partner) index tuples of the cells i whose partner i + o lies on
+    the grid, each block in the grid shape of those cells."""
+    blocks = []
+    for off, _ in terms:
+        base, partner = [], []
+        for n, o in zip(shape, off):
+            m = max(n - abs(o), 0)
+            base.append(slice(max(-o, 0), max(-o, 0) + m))
+            partner.append(slice(max(o, 0), max(o, 0) + m))
+        blocks.append((tuple(base), tuple(partner)))
+    return blocks
+
+
+def _flat_blocks(shape, terms):
+    """(start, stop, grid-pair mask) of each term's block of the pair vector:
+    the flat shift k = o . strides, the base cells max(-k, 0) onwards, and a
+    grid pair wherever the partner's coordinates stay on the grid."""
+    cells = math.prod(shape)
+    strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+    out, start = [], 0
+    for off, _ in terms:
+        k = sum(o * s for o, s in zip(off, strides))
+        m = max(cells - abs(k), 0)
+        coords = np.unravel_index(np.arange(max(-k, 0), max(-k, 0) + m), shape)
+        mask = np.ones(m, dtype=bool)
+        for c, o, n in zip(coords, off, shape):
+            mask &= (c + o >= 0) & (c + o < n)
+        out.append((start, start + m, mask))
+        start += m
+    return out
+
+
+@st.composite
+def _layout_inputs(draw):
+    dim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(1, 9)) for _ in range(dim))
+    # offsets of every sign and size: negative and zero flat shifts, and
+    # offsets that fit no pair on the grid
+    coords = [st.integers(-n - 1, n + 1) for n in shape]
+    offsets = draw(st.lists(st.tuples(*coords), min_size=1, max_size=4))
+    weights = draw(st.lists(st.floats(0.0, 1e3), min_size=len(offsets),
+                            max_size=len(offsets)))
+    terms = list(zip(offsets, weights))
+    cells = math.prod(shape)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    f = draw(arrays(np.float64, cells, elements=finite))
+    q = draw(arrays(np.float64, _flat_blocks(shape, terms)[-1][1], elements=finite))
+    return shape, terms, f, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layout_inputs())
+def test_flat_shift_layout_matches_slice_layout(case):
+    shape, terms, f, q = case
+    stencil = Stencil(shape, terms)
+    flat = _flat_blocks(shape, terms)
+    old = _slice_blocks(shape, terms)
+    assert stencil.size == q.size
+    a = f.reshape(shape)
+    g = stencil.gather(f)
+    wn = stencil.pair_weights()
+    projected = stencil.project(q.copy())
+    degree = np.zeros(shape, dtype=int)
+    old_scatter = np.zeros(shape)
+    for (start, stop, mask), (base, partner), (_, w) in zip(flat, old, terms):
+        # the grid pairs, in order, are the old block's differences bit for bit
+        assert g[start:stop][mask].tobytes() == (a[base] - a[partner]).ravel().tobytes()
+        # wrapped pairs weigh 0 and project to 0
+        assert wn[start:stop].tobytes() == np.where(mask, w, 0.0).tobytes()
+        assert np.all(projected[start:stop][~mask] == 0.0)
+        # the old scatter of the projected grid pairs
+        qb = projected[start:stop][mask].reshape(a[base].shape)
+        old_scatter[base] += qb
+        ends = old_scatter[partner]
+        np.subtract(ends, qb, out=ends)
+        degree[base] += 1
+        degree[partner] += 1
+    assert stencil.scatter(projected).tobytes() == old_scatter.ravel().tobytes()
+    assert stencil.max_degree == degree.max()
+
+
+def _normal_matrix_max(stencil):
+    """Largest eigenvalue of K^T K, K the dense difference operator of the
+    stencil's grid pairs."""
+    cells = math.prod(stencil.shape)
+    k = np.stack([stencil.gather(e) for e in np.eye(cells)], axis=1)
+    rows = np.concatenate([mask for *_, mask in _flat_blocks(stencil.shape, stencil.terms)]
+                          or [np.zeros(0, dtype=bool)])
+    k = k[rows]
+    return float(np.linalg.eigvalsh(k.T @ k).max()) if k.size else 0.0
+
+
+@st.composite
+def _bound_inputs(draw):
+    dim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(1, 8)) for _ in range(dim))
+    coords = [st.integers(-n - 1, n + 1) for n in shape]
+    offsets = draw(st.lists(st.tuples(*coords), min_size=1, max_size=5))
+    return Stencil(shape, [(off, 1.0) for off in offsets])
+
+
+def _assert_step_bound(stencil):
+    lam = _normal_matrix_max(stencil)
+    assert stencil.op_norm_sq >= lam * (1.0 - 1e-12)
+    assert stencil.op_norm_sq <= 2.0 * stencil.max_degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bound_inputs())
+def test_step_bound_covers_the_operator_norm(stencil):
+    _assert_step_bound(stencil)
+
+
+def test_step_bound_of_oracle_and_closed_stencils():
+    # 38 offsets of a disc kernel reaching four cells, on an 8 x 8 grid
+    oracle = oracle_stencil(Kernel(KernelKind.DISC2D, 2), 8,
+                            OracleConfig(method="mc", samples=20_000, seed=1))
+    assert len(oracle.terms) == 38
+    _assert_step_bound(oracle)
+    assert oracle.op_norm_sq < 2.0 * oracle.max_degree
+    for n in range(3, 9):
+        # the symbol peaks at w = pi (1D) and w = (0, pi) (closed 2D), both
+        # frequencies of the even torus; the grid norms lie within O(1/n^2)
+        # below (in 1D 4 - |K|^2 = 4 sin^2(pi / 2n) <= pi^2 / n^2)
+        box = Stencil((n,), [((1,), 1.0)])
+        closed = regularizer_stencil(EnergyParams(
+            p=1.0, alpha=1.0, kernel=Kernel(KernelKind.DISC2D, n), grid_n=n,
+            scheme=SCHEME_CLOSED_2D))
+        assert box.op_norm_sq == 4.0
+        assert closed.op_norm_sq == 12.0
+        assert 4.0 - math.pi ** 2 / n ** 2 <= _normal_matrix_max(box) <= 4.0
+        assert 12.0 - 4.0 * math.pi ** 2 / n ** 2 <= _normal_matrix_max(closed) <= 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +535,7 @@ def _reference_pdhg(d, mu, stencil, p, solver):
         seen.append((x.copy(), e))
         return tracker.step(x, e)
 
-    op_norm_sq = 2.0 * float(stencil.max_degree)
+    op_norm_sq = stencil.op_norm_sq  # the solver's step bound
     it = 0
     if p == 1:
         q = np.zeros(stencil.size)
