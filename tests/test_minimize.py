@@ -302,10 +302,8 @@ def _normal_matrix_max(stencil):
     stencil's grid pairs."""
     cells = math.prod(stencil.shape)
     k = np.stack([stencil.gather(e) for e in np.eye(cells)], axis=1)
-    rows = np.concatenate([mask for *_, mask in _flat_blocks(stencil.shape, stencil.terms)]
-                          or [np.zeros(0, dtype=bool)])
-    k = k[rows]
-    return float(np.linalg.eigvalsh(k.T @ k).max()) if k.size else 0.0
+    k = k[np.concatenate([mask for *_, mask in _flat_blocks(stencil.shape, stencil.terms)])]
+    return float(np.linalg.eigvalsh(k.T @ k).max())
 
 
 @st.composite
