@@ -318,8 +318,8 @@ def parse_args(argv) -> argparse.Namespace:
     if args.command in ("denoise", "gamma"):
         if not args.alpha > 0:
             raise UsageError("alpha must be positive")
-        if args.p < 1:
-            raise UsageError("p must be >= 1")
+        if not 1 <= args.p < math.inf:
+            raise UsageError("p must be >= 1 and finite")
         if not args.tol > 0 or args.max_iter < 1:
             raise UsageError("solver tolerances must be positive")
     if args.command == "denoise" and args.scale is not None and args.scale < 1:

@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .kernels import Kernel, KernelKind, kpn
-from .oracle import GAUSS, OracleConfig, oracle_stencil
+from .oracle import GAUSS, OracleConfig, oracle_terms
+from .schemes_1d import BOX2_WEIGHTS
 from .schemes_2d import stencil_weights
 from .stencil import Stencil
 
@@ -58,8 +59,8 @@ class EnergyParams:
     oracle_points: int = 12
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.grid_n < 1:
@@ -157,25 +158,29 @@ class GammaRow:
 # the regularizer as an (offset, weight) stencil
 
 
-def regularizer_stencil(params: EnergyParams) -> Stencil:
-    """The stencil with R(f) = sum w |f_i - f_{i+o}|^p over the grid."""
+def _regularizer_terms(params: EnergyParams) -> list:
+    # the (offset, weight) terms of regularizer_stencil
     n = params.grid_n
     kind = params.kernel.kind
     if params.scheme == SCHEME_CLOSED_1D:
         if kind is KernelKind.BOX1D:
-            return Stencil((n,), [((1,), 1.0)])
+            return [((1,), 1.0)]
         if n < 2:
             raise ValueError("the double-width scheme needs n >= 2")
-        return Stencil((n,), [((1,), math.log(2.0)),
-                              ((2,), 0.5 * (1.0 - math.log(2.0)))])
+        return [((1,), BOX2_WEIGHTS[0]), ((2,), BOX2_WEIGHTS[1])]
     if params.scheme == SCHEME_CLOSED_2D:
         w = stencil_weights(kind, n)
-        return Stencil((n, n), [((0, 1), w.lateral), ((1, 0), w.lateral),
-                                ((1, 1), w.diagonal), ((1, -1), w.diagonal)])
+        return [((0, 1), w.lateral), ((1, 0), w.lateral),
+                ((1, 1), w.diagonal), ((1, -1), w.diagonal)]
     # oracle scheme: weights from numerically integrated geometric factors
     cfg = OracleConfig(method=GAUSS, points_per_cell_axis=params.oracle_points,
                        p=params.p)
-    return oracle_stencil(params.kernel, n, cfg)
+    return oracle_terms(params.kernel, n, cfg)
+
+
+def regularizer_stencil(params: EnergyParams) -> Stencil:
+    """The stencil with R(f) = sum w |f_i - f_{i+o}|^p over the grid."""
+    return Stencil((params.grid_n,) * params.dim, _regularizer_terms(params))
 
 
 def energy(f, data: DataTerm, params: EnergyParams) -> float:
@@ -395,20 +400,22 @@ def denoise(data: DataTerm, params: EnergyParams,
     if solver.method == "pd" and params.p not in (1.0, 2.0):
         raise ValueError("the primal-dual solver handles p in {1, 2}; "
                          "use the smooth solver for other exponents")
-    reg = regularizer_stencil(params)
     scale = params.alpha / kpn(params.p, params.dim).value
     mu = data.cell_measure
-    normalized = Stencil(reg.shape, [(off, scale * w / mu) for off, w in reg.terms])
+    # the only stencil of the solve: weights in cell-normalized units
+    normalized = Stencil(data.data.shape, [(off, scale * w / mu)
+                                           for off, w in _regularizer_terms(params)])
     best, trace, iterations, converged = _solve(
         data.data.ravel().astype(float), mu, normalized, params.p, solver)
     minimizer = best.reshape(data.data.shape)
     fid = mu * 0.5 * float(np.sum((minimizer - data.data) ** 2))
+    reg = normalized.value(best, params.p) * mu / scale
     return DenoiseResult(minimizer=minimizer,
                          energy_trace=np.asarray(trace),
                          iterations=iterations,
                          converged=converged,
                          fidelity_value=fid,
-                         regularizer_value=reg.value(best, params.p))
+                         regularizer_value=reg)
 
 
 # ---------------------------------------------------------------------------

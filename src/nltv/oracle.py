@@ -7,10 +7,12 @@ Evaluates the double integral
 directly from its definition, without reusing any of the closed-form schemes.
 Two methods are available:
 
-* ``gauss``: composite Gauss-Legendre quadrature. For piecewise-constant
+* ``gauss``: composite Gauss-Legendre quadrature through one panel rule,
+  ``_panel_nodes``, applied to whole arrays of panels. For piecewise-constant
   inputs the integral reduces exactly (Fubini) to per-cell-pair geometric
-  factors which are integrated numerically; for splines and callbacks a band
-  |x - y| < delta is excluded and the value extrapolated linearly in delta.
+  factors, in 2D in polar coordinates with one array pass per angular panel;
+  for splines and callbacks a band |x - y| < delta is excluded and the value
+  extrapolated linearly in delta.
 * ``mc``: stratified Monte Carlo through one sampler, ``_stratified_mc``,
   with one counter-based stream per task derived from (seed, task id), so
   results are reproducible bit for bit regardless of evaluation order.
@@ -64,8 +66,8 @@ class OracleConfig:
             raise ValueError("points_per_cell_axis must lie in [2, 64]")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
         if not 0 < self.exclusion_band < 1e-2:
             raise ValueError("exclusion_band must lie in (0, 1e-2)")
 
@@ -100,14 +102,20 @@ def _gauss_rule(g: int):
     return nodes, weights
 
 
+def _panel_nodes(edges: np.ndarray, g: int):
+    """Gauss-Legendre nodes and weights of every panel along the last axis of
+    ``edges``, each shaped (..., panels, g)."""
+    nodes, weights = _gauss_rule(g)
+    lo = edges[..., :-1, None]
+    hi = edges[..., 1:, None]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * nodes, half * weights
+
+
 def _gauss_on_panels(fn, edges: np.ndarray, g: int) -> float:
     """Composite Gauss-Legendre of a vectorized integrand over panel edges."""
-    nodes, weights = _gauss_rule(g)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    pts = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(0.5 * (hi - lo) * weights[None, :] * vals))
+    pts, wts = _panel_nodes(edges, g)
+    return float(np.sum(wts * fn(pts.ravel()).reshape(pts.shape)))
 
 
 def _refine(edges: np.ndarray) -> np.ndarray:
@@ -220,31 +228,19 @@ def _kink_angles(knots_x, knots_y, kernel: Kernel) -> np.ndarray:
     """Angles where the radial breakpoint structure of the polar integrand
     changes; used as theta panel boundaries."""
     r = kernel.support_radius
-    cands = {0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi, math.pi,
-             1.25 * math.pi, 1.5 * math.pi, 1.75 * math.pi, 2.0 * math.pi}
-    axis_vals = [abs(c) for c in knots_x + knots_y if c != 0.0]
-    for c in axis_vals:
+    # the reflections of 0, pi/4 and pi/2 are the multiples of pi/4
+    bases = [0.0, 0.25 * math.pi, 0.5 * math.pi]
+    for c in [abs(c) for c in knots_x + knots_y if c != 0.0]:
         if c < r:
-            t = math.acos(c / r)
-            for base in (t, math.pi - t, math.pi + t, 2 * math.pi - t):
-                cands.add(base % (2 * math.pi))
-            t = math.asin(min(c / r, 1.0))
-            for base in (t, math.pi - t, math.pi + t, 2 * math.pi - t):
-                cands.add(base % (2 * math.pi))
+            bases += [math.acos(c / r), math.asin(min(c / r, 1.0))]
     for cx in [abs(c) for c in knots_x if c != 0.0]:
         for cy in [abs(c) for c in knots_y if c != 0.0]:
-            t = math.atan2(cy, cx)
-            for base in (t, math.pi - t, math.pi + t, 2 * math.pi - t):
-                cands.add(base % (2 * math.pi))
-    cands.add(2.0 * math.pi)
+            bases.append(math.atan2(cy, cx))
+    cands = {2.0 * math.pi}
+    for t in bases:
+        cands.update(v % (2 * math.pi)
+                     for v in (t, math.pi - t, math.pi + t, 2 * math.pi - t))
     return np.array(sorted(cands))
-
-
-def _radial_cap(theta: float, kernel: Kernel) -> float:
-    if kernel.kind is KernelKind.DISC2D:
-        return kernel.support_radius
-    denom = max(abs(math.cos(theta)), abs(math.sin(theta)))
-    return kernel.support_radius / denom
 
 
 def _polar_factor(dx: int, dy: int, h: float, kernel: Kernel, g: int,
@@ -254,43 +250,29 @@ def _polar_factor(dx: int, dy: int, h: float, kernel: Kernel, g: int,
     The radial integrand is piecewise polynomial for p = 1, so with panel
     boundaries at every tent knot crossing the inner integral is exact and
     the only error source is the angular quadrature (smooth per panel).
+    Each theta panel is one array pass over its g angles, 7 radial panels
+    and g radial nodes; knot crossings outside (0, cap) move to the cap.
     """
     knots_x = [(dx - 1) * h, dx * h, (dx + 1) * h]
     knots_y = [(dy - 1) * h, dy * h, (dy + 1) * h]
-    height = kernel.height
-    base = _kink_angles(knots_x, knots_y, kernel)
-    thetas = base
+    thetas = _kink_angles(knots_x, knots_y, kernel)
     for _ in range(theta_split):
         thetas = _refine(thetas)
-    nodes, weights = _gauss_rule(g)
+    r = kernel.support_radius
+    disc = kernel.kind is KernelKind.DISC2D
     total = 0.0
-    for a, b in zip(thetas[:-1], thetas[1:]):
-        if b - a <= 1e-14:
-            continue
-        th = 0.5 * (b + a) + 0.5 * (b - a) * nodes
-        wt = 0.5 * (b - a) * weights
-        for theta, w_theta in zip(th, wt):
-            cap = _radial_cap(theta, kernel)
-            c, s = math.cos(theta), math.sin(theta)
-            breaks = {cap}
-            for kx in knots_x:
-                if c != 0.0:
-                    rho = kx / c
-                    if 0.0 < rho < cap:
-                        breaks.add(rho)
-            for ky in knots_y:
-                if s != 0.0:
-                    rho = ky / s
-                    if 0.0 < rho < cap:
-                        breaks.add(rho)
-            edges = np.array(sorted({0.0} | breaks))
-
-            def radial(rho):
-                rr = np.maximum(rho, 1e-300)
-                return (2.0 * height * _tent(rho * c, dx, h)
-                        * _tent(rho * s, dy, h) * rr ** (1.0 - p))
-
-            total += w_theta * _gauss_on_panels(radial, edges, g)
+    for th, wt in zip(*_panel_nodes(thetas, g)):
+        c, s = np.cos(th), np.sin(th)
+        cap = r / (np.ones(g) if disc else np.maximum(np.abs(c), np.abs(s)))
+        # cos and sin vanish at no double but 0, and every node lies inside
+        # (0, 2 pi), so every crossing is finite
+        rho = np.column_stack([knots_x / c[:, None], knots_y / s[:, None]])
+        rho = np.where((rho > 0.0) & (rho < cap[:, None]), rho, cap[:, None])
+        edges = np.sort(np.column_stack([np.zeros(g), cap, rho]), axis=1)
+        pts, wts = _panel_nodes(edges, g)
+        vals = (2.0 * kernel.height * _tent(pts * c[:, None, None], dx, h)
+                * _tent(pts * s[:, None, None], dy, h) * pts ** (1.0 - p))
+        total += float(wt @ np.sum(wts * vals, axis=(1, 2)))
     return total
 
 
@@ -388,15 +370,15 @@ def _eval_piecewise_constant(a: np.ndarray, kernel: Kernel,
     return EvalReport(value, math.sqrt(var), delta, cfg)
 
 
-def oracle_stencil(kernel: Kernel, grid_n: int, cfg: OracleConfig) -> Stencil:
-    """Regularizer stencil on the grid whose pair weights are the geometric
-    factors of every offset in kernel reach (zero factors left out)."""
+def oracle_terms(kernel: Kernel, grid_n: int, cfg: OracleConfig) -> list:
+    """``(offset, weight)`` terms whose weights are the geometric factors of
+    every offset in kernel reach (zero factors left out)."""
     terms = []
     for off in offsets_within_reach(kernel, grid_n):
         fac, _ = _pair_factor(off, grid_n, kernel, cfg, cfg.samples)
         if fac > 0.0:
             terms.append((off, fac))
-    return Stencil((grid_n,) * kernel.dim, terms)
+    return terms
 
 
 def _curve_breaks(knots: np.ndarray, shift: float, lo: float, hi: float) -> np.ndarray:
@@ -412,16 +394,12 @@ def _x_integral(func, u: float, knots: np.ndarray, p: float, g: int,
     difference (exact for piecewise-linear f)."""
     edges = _curve_breaks(knots, u, u, 1.0)
     if split_roots:
-        refined = [edges[0]]
-        for xa, xb in zip(edges[:-1], edges[1:]):
-            da = float(func(np.array([xa]))[0] - func(np.array([xa - u]))[0])
-            db = float(func(np.array([xb]))[0] - func(np.array([xb - u]))[0])
-            if (da > 0) != (db > 0) and da != db:
-                root = xa + (xb - xa) * da / (da - db)
-                if xa < root < xb:
-                    refined.append(root)
-            refined.append(xb)
-        edges = np.asarray(refined)
+        diff = func(edges) - func(edges - u)
+        da, db = diff[:-1], diff[1:]
+        flip = ((da > 0) != (db > 0)) & (da != db)
+        xa, xb, da, db = edges[:-1][flip], edges[1:][flip], da[flip], db[flip]
+        roots = xa + (xb - xa) * da / (da - db)
+        edges = np.sort(np.concatenate([edges, roots[(xa < roots) & (roots < xb)]]))
 
     def integrand(x):
         return np.abs(func(x) - func(x - u)) ** p
@@ -436,16 +414,11 @@ def _curve_gauss_1d(func, knots: np.ndarray, kernel: Kernel, cfg: OracleConfig,
     g = cfg.points_per_cell_axis
 
     def band_value(delta: float) -> float:
-        u_edges = _curve_breaks(knots, 0.0, delta, r)
-        u_edges = _refine(_refine(u_edges))
-        nodes, weights = _gauss_rule(g)
+        us, ws = _panel_nodes(_refine(_refine(_curve_breaks(knots, 0.0, delta, r))), g)
         total = 0.0
-        for ua, ub in zip(u_edges[:-1], u_edges[1:]):
-            us = 0.5 * (ub + ua) + 0.5 * (ub - ua) * nodes
-            ws = 0.5 * (ub - ua) * weights
-            for u, w in zip(us, ws):
-                total += w * _x_integral(func, float(u), knots, cfg.p, g,
-                                         split_roots) / float(u) ** cfg.p
+        for u, w in zip(us.ravel(), ws.ravel()):
+            total += w * _x_integral(func, float(u), knots, cfg.p, g,
+                                     split_roots) / float(u) ** cfg.p
         return 2.0 * height * total
 
     delta = cfg.exclusion_band

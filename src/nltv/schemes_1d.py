@@ -18,6 +18,9 @@ import numpy as np
 
 _LN2 = math.log(2.0)
 
+# box2 pair weights of the adjacent and the second differences
+BOX2_WEIGHTS = (_LN2, 0.5 * (1.0 - _LN2))
+
 # Spline1D evaluation: inputs up to this size go straight to np.interp (its
 # binary search is faster there), larger ones are split into blocks of
 # _INTERP_BLOCK points. The bin margin is safe while n * 3 * 2**-53 stays
@@ -173,11 +176,12 @@ def eval_pc_box_wide(f: PiecewiseConstant1D) -> float:
     if f.n < 2:
         raise ValueError("the double-width scheme needs at least two cells")
     a = f.coeffs
+    adjacent, second = BOX2_WEIGHTS
     total = 0.0
     for i in range(1, a.size):
-        total += _LN2 * abs(float(a[i]) - float(a[i - 1]))
+        total += adjacent * abs(float(a[i]) - float(a[i - 1]))
     for i in range(1, a.size - 1):
-        total += 0.5 * (1.0 - _LN2) * abs(float(a[i + 1]) - float(a[i - 1]))
+        total += second * abs(float(a[i + 1]) - float(a[i - 1]))
     return total
 
 

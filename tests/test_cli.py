@@ -98,6 +98,19 @@ def test_non_finite_solver_flags_are_usage_errors(tmp_path, capsys, command, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("token", ["inf", "nan"])
+def test_non_finite_p_is_a_usage_error(tmp_path, capsys, token):
+    # the smooth solver takes any p >= 1: a nan or infinite p ran every
+    # iteration, exited 4 and wrote the unchanged input
+    sig = tmp_path / "s.csv"
+    write_signal_csv(str(sig), np.linspace(0.0, 1.0, 16))
+    out = tmp_path / "out.csv"
+    assert main(["denoise", "--input", str(sig), "--alpha", "0.1", "--p", token,
+                 "--solver", "smooth", "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # signal and image I/O
 

@@ -19,15 +19,21 @@ from nltv import (
     stencil_weights,
 )
 from nltv.oracle import (
+    _curve_breaks,
     _factor_1d,
     _factor_2d,
+    _gauss_on_panels,
     _gauss_rule,
     _kernel_values_2d,
+    _kink_angles,
+    _polar_factor,
+    _refine,
     _stratified_mc,
     _stream,
+    _tent,
     geometric_factor_1d,
     geometric_factor_2d,
-    oracle_stencil,
+    oracle_terms,
 )
 
 BOX = Kernel(KernelKind.BOX1D, 4)
@@ -44,8 +50,9 @@ def test_config_validation():
         OracleConfig(points_per_cell_axis=1)
     with pytest.raises(ValueError):
         OracleConfig(points_per_cell_axis=65)
-    with pytest.raises(ValueError):
-        OracleConfig(p=0.5)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            OracleConfig(p=p)
     with pytest.raises(ValueError):
         OracleConfig(seed=-1)
     with pytest.raises(ValueError):
@@ -208,16 +215,16 @@ def test_kernel_values_2d_match_kernel_eval(kind):
 ])
 def test_gauss_factors_are_shared_between_eval_and_stencil(f, kernel):
     # Gauss ignores the sample budget and the seed, so oracle_eval (budget
-    # split over the offsets) and oracle_stencil (whole budget) share factors
+    # split over the offsets) and oracle_terms (whole budget) share factors
     factor = _factor_1d if kernel.dim == 1 else _factor_2d
     cfg = OracleConfig(method="gauss", samples=50_000, seed=4)
     grid_n = f.coeffs.shape[0]
     value = oracle_eval(f, kernel, cfg).value
     misses = factor.cache_info().misses
-    stencil = oracle_stencil(kernel, grid_n, cfg)
+    terms = oracle_terms(kernel, grid_n, cfg)
     assert factor.cache_info().misses == misses
     factor.cache_clear()
-    assert oracle_stencil(kernel, grid_n, replace(cfg, seed=9)).terms == stencil.terms
+    assert oracle_terms(kernel, grid_n, replace(cfg, seed=9)) == terms
     assert oracle_eval(f, kernel, cfg).value == value
 
 
@@ -385,3 +392,169 @@ def test_stratified_mc_equals_the_loops_it_replaced(lo, width, nsamples, seed, t
     axes = [(0, 1), (0, 1), (-r, r), (-r, r)]
     assert (_hex_pair(_stratified_mc(f4, axes, nsamples, new))
             == _hex_pair(_old_mc_one_box(f4, r, nsamples, old)))
+
+
+# The one-point-at-a-time Gauss code that the array-at-a-time panel rule
+# replaced, kept as references: the panel rule, the kink angles with their
+# reflections written out, the per-theta-node polar factor and the spline and
+# callable band quadrature with its per-panel root split.
+
+
+def _old_gauss_on_panels(fn, edges, g):
+    nodes, weights = _gauss_rule(g)
+    lo = edges[:-1][:, None]
+    hi = edges[1:][:, None]
+    pts = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes[None, :]
+    vals = fn(pts.ravel()).reshape(pts.shape)
+    return float(np.sum(0.5 * (hi - lo) * weights[None, :] * vals))
+
+
+def _old_kink_angles(knots_x, knots_y, kernel):
+    r = kernel.support_radius
+    cands = {0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi, math.pi,
+             1.25 * math.pi, 1.5 * math.pi, 1.75 * math.pi, 2.0 * math.pi}
+    axis_vals = [abs(c) for c in knots_x + knots_y if c != 0.0]
+    for c in axis_vals:
+        if c < r:
+            t = math.acos(c / r)
+            for base in (t, math.pi - t, math.pi + t, 2 * math.pi - t):
+                cands.add(base % (2 * math.pi))
+            t = math.asin(min(c / r, 1.0))
+            for base in (t, math.pi - t, math.pi + t, 2 * math.pi - t):
+                cands.add(base % (2 * math.pi))
+    for cx in [abs(c) for c in knots_x if c != 0.0]:
+        for cy in [abs(c) for c in knots_y if c != 0.0]:
+            t = math.atan2(cy, cx)
+            for base in (t, math.pi - t, math.pi + t, 2 * math.pi - t):
+                cands.add(base % (2 * math.pi))
+    cands.add(2.0 * math.pi)
+    return np.array(sorted(cands))
+
+
+def _old_polar_factor(dx, dy, h, kernel, g, theta_split, p):
+    knots_x = [(dx - 1) * h, dx * h, (dx + 1) * h]
+    knots_y = [(dy - 1) * h, dy * h, (dy + 1) * h]
+    thetas = _old_kink_angles(knots_x, knots_y, kernel)
+    for _ in range(theta_split):
+        thetas = _refine(thetas)
+    nodes, weights = _gauss_rule(g)
+    total = 0.0
+    for a, b in zip(thetas[:-1], thetas[1:]):
+        if b - a <= 1e-14:
+            continue
+        th = 0.5 * (b + a) + 0.5 * (b - a) * nodes
+        wt = 0.5 * (b - a) * weights
+        for theta, w_theta in zip(th, wt):
+            cap = kernel.support_radius
+            if kernel.kind is KernelKind.SQUARE2D:
+                cap /= max(abs(math.cos(theta)), abs(math.sin(theta)))
+            c, s = math.cos(theta), math.sin(theta)
+            breaks = {cap}
+            for kx in knots_x:
+                if c != 0.0 and 0.0 < kx / c < cap:
+                    breaks.add(kx / c)
+            for ky in knots_y:
+                if s != 0.0 and 0.0 < ky / s < cap:
+                    breaks.add(ky / s)
+            edges = np.array(sorted({0.0} | breaks))
+
+            def radial(rho, c=c, s=s):
+                rr = np.maximum(rho, 1e-300)
+                return (2.0 * kernel.height * _tent(rho * c, dx, h)
+                        * _tent(rho * s, dy, h) * rr ** (1.0 - p))
+
+            total += w_theta * _old_gauss_on_panels(radial, edges, g)
+    return total
+
+
+def _old_x_integral(func, u, knots, p, g, split_roots):
+    edges = _curve_breaks(knots, u, u, 1.0)
+    if split_roots:
+        refined = [edges[0]]
+        for xa, xb in zip(edges[:-1], edges[1:]):
+            da = float(func(np.array([xa]))[0] - func(np.array([xa - u]))[0])
+            db = float(func(np.array([xb]))[0] - func(np.array([xb - u]))[0])
+            if (da > 0) != (db > 0) and da != db:
+                root = xa + (xb - xa) * da / (da - db)
+                if xa < root < xb:
+                    refined.append(root)
+            refined.append(xb)
+        edges = np.asarray(refined)
+    return _old_gauss_on_panels(lambda x: np.abs(func(x) - func(x - u)) ** p, edges, g)
+
+
+def _old_curve_gauss_1d(func, knots, kernel, cfg, split_roots):
+    g = cfg.points_per_cell_axis
+    nodes, weights = _gauss_rule(g)
+
+    def band_value(delta):
+        u_edges = _refine(_refine(_curve_breaks(knots, 0.0, delta,
+                                                kernel.support_radius)))
+        total = 0.0
+        for ua, ub in zip(u_edges[:-1], u_edges[1:]):
+            us = 0.5 * (ub + ua) + 0.5 * (ub - ua) * nodes
+            ws = 0.5 * (ub - ua) * weights
+            for u, w in zip(us, ws):
+                total += w * _old_x_integral(func, float(u), knots, cfg.p, g,
+                                             split_roots) / float(u) ** cfg.p
+        return 2.0 * kernel.height * total
+
+    near = band_value(cfg.exclusion_band)
+    far = band_value(2.0 * cfg.exclusion_band)
+    return max(2.0 * near - far, 0.0), abs(near - far)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=12, unique=True),
+       g=st.integers(2, 64))
+def test_panel_rule_is_bit_identical_to_the_reference(edges, g):
+    # the 1D factors integrate through this rule alone
+    edges = np.sort(edges)
+
+    def fn(x):
+        return x * x * x - 2.0 * x + np.abs(x - 1.0)
+
+    assert (_gauss_on_panels(fn, edges, g).hex()
+            == _old_gauss_on_panels(fn, edges, g).hex())
+
+
+@pytest.mark.parametrize("kind", [KernelKind.DISC2D, KernelKind.SQUARE2D])
+def test_kink_angles_are_byte_identical_to_the_reference(kind):
+    for kscale, grid in [(3, 4), (4, 8), (8, 16), (2, 32)]:
+        kernel, h = Kernel(kind, kscale), 1.0 / grid
+        for dx in range(5):
+            for dy in range(dx + 1):
+                knots_x = [(dx - 1) * h, dx * h, (dx + 1) * h]
+                knots_y = [(dy - 1) * h, dy * h, (dy + 1) * h]
+                assert (_kink_angles(knots_x, knots_y, kernel).tobytes()
+                        == _old_kink_angles(knots_x, knots_y, kernel).tobytes())
+
+
+@pytest.mark.parametrize("kind", [KernelKind.DISC2D, KernelKind.SQUARE2D])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_polar_factor_matches_the_per_node_reference(kind, p):
+    # touching offsets (1, 0) and (1, 1) carry the rho^(1-p) singularity;
+    # (2, 1) on the finer grid sees the kernel cap cut through its cells
+    for dx, dy, grid, kscale in [(1, 0, 4, 3), (1, 1, 4, 3), (2, 1, 8, 4)]:
+        kernel = Kernel(kind, kscale)
+        for g in (8, 12):
+            for theta_split in (2, 3):
+                args = (dx, dy, 1.0 / grid, kernel, g, theta_split, p)
+                ref = _old_polar_factor(*args)
+                assert abs(_polar_factor(*args) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_curve_gauss_reports_are_bit_identical_to_the_reference(p):
+    # a spline (roots split for p in {1, 2}) and a callable (never split)
+    spline = Spline1D(np.random.default_rng(9).uniform(0.0, 1.0, 9))
+    cases = [(spline, np.linspace(0.0, 1.0, 9), p in (1.0, 2.0)),
+             (lambda x: np.sin(3 * x) + x * x, np.linspace(0.0, 1.0, 33), False)]
+    kernel = Kernel(KernelKind.BOX1D, 4)
+    for g in (4, 8):
+        cfg = OracleConfig(method="gauss", p=p, points_per_cell_axis=g)
+        for f, knots, split_roots in cases:
+            report = oracle_eval(f, kernel, cfg)
+            ref = _old_curve_gauss_1d(f, knots, kernel, cfg, split_roots)
+            assert ((report.value.hex(), report.richardson_delta.hex())
+                    == tuple(v.hex() for v in ref))
