@@ -9,15 +9,16 @@ handled here R reduces to a weighted sum of |f_i - f_j|^p over the cell pairs
 at a few fixed offsets (a :class:`~nltv.stencil.Stencil`), so minimization is
 a graph-TV (p = 1) or graph-Dirichlet (p = 2) problem:
 
-* ``pd``: an accelerated first-order primal-dual scheme; each pair carries one
-  dual variable, constrained to [-w, w] when p = 1. Exact nonsmooth handling,
-  no smoothing bias.
+* ``pd``: accelerated ascent on the dual problem, one dual variable per pair,
+  clipped to [-w, w] (p = 1) or scaled (p = 2). Exact nonsmooth handling, no
+  smoothing bias. p = 1 stops on the energy plateau of ``tol``/``plateau``,
+  p = 2 on a duality-gap certificate of the distance to the minimizer.
 * ``smooth``: quasi-Newton descent with line search on the smoothed surrogate
   |t| ~ sqrt(t^2 + eps^2); kept as an independent cross-check of ``pd``.
 
-The iteration bookkeeping never replaces the minimizer with an
-energy-increasing iterate, so the reported trace is non-increasing by
-construction and the result is never worse than the initial point.
+The reported trace, the best energy so far, is non-increasing. The minimizer
+is the lowest-energy iterate, except that a certified p = 2 solve returns its
+last iterate, whose energy lies within the gap of the minimum.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ SCHEME_ORACLE = "oracle"
 
 _SCHEMES = (SCHEME_CLOSED_1D, SCHEME_CLOSED_2D, SCHEME_ORACLE)
 
+ORACLE_POINTS = 12  # Gauss points per cell axis of the oracle scheme's weights
+SMOOTH_EPS = 1e-8  # eps of the smooth solver's |t| ~ sqrt(t^2 + eps^2)
+
 
 @dataclass(frozen=True)
 class EnergyParams:
@@ -56,7 +60,6 @@ class EnergyParams:
     kernel: Kernel
     grid_n: int
     scheme: str
-    oracle_points: int = 12
 
     def __post_init__(self):
         if not 1 <= self.p < math.inf:
@@ -85,6 +88,11 @@ class EnergyParams:
     @property
     def dim(self) -> int:
         return self.kernel.dim
+
+    @property
+    def oracle_points(self) -> int:
+        """:data:`ORACLE_POINTS`, which ``perfbench/replay.py`` reads here."""
+        return ORACLE_POINTS
 
 
 @dataclass(frozen=True)
@@ -119,13 +127,13 @@ class DataTerm:
 
 @dataclass
 class SolverConfig:
-    """Iteration policy: stop once the relative energy decrement stays below
-    ``tol`` for ``plateau`` consecutive iterations, or at ``max_iter``."""
+    """Iteration policy: stop at ``max_iter``, or once the relative energy
+    decrement stays below ``tol`` for ``plateau`` consecutive iterations
+    (primal-dual p = 2 solves stop on a duality-gap certificate instead)."""
 
     method: str = "pd"
     tol: float = 1e-8
     max_iter: int = 100_000
-    smooth_eps: float = 1e-8
     plateau: int = 5
     init: Optional[np.ndarray] = None
 
@@ -173,8 +181,7 @@ def _regularizer_terms(params: EnergyParams) -> list:
         return [((0, 1), w.lateral), ((1, 0), w.lateral),
                 ((1, 1), w.diagonal), ((1, -1), w.diagonal)]
     # oracle scheme: weights from numerically integrated geometric factors
-    cfg = OracleConfig(method=GAUSS, points_per_cell_axis=params.oracle_points,
-                       p=params.p)
+    cfg = OracleConfig(method=GAUSS, points_per_cell_axis=ORACLE_POINTS, p=params.p)
     return oracle_terms(params.kernel, n, cfg)
 
 
@@ -235,7 +242,7 @@ def _solve(d, mu, stencil: Stencil, p, solver: SolverConfig):
     the original energy (``stencil`` carries the weights divided by the cell
     measure ``mu``). Energies are reported in the original scaling.
 
-    Returns (best iterate, energy trace, iterations, converged).
+    Returns (minimizer, energy trace, iterations, converged).
     """
     f0 = (solver.init.ravel().astype(float).copy() if solver.init is not None
           else d.copy())
@@ -246,7 +253,8 @@ def _solve(d, mu, stencil: Stencil, p, solver: SolverConfig):
         return mu * (0.5 * float(np.sum((x - d) ** 2)) + stencil.value(x, p, diffs))
 
     tracker = _Tracker(f0, total_energy(f0), solver.tol, solver.plateau)
-    if stencil.max_degree == 0:
+    if stencil.op_norm_sq == 0.0:
+        # K = 0: no pair of the grid, or only zero offsets
         return tracker.best, tracker.trace, 0, True
     run = _pdhg if solver.method == "pd" else _smoothed_descent
     iterations, converged = run(d, f0, stencil, p, solver, tracker, total_energy)
@@ -254,101 +262,90 @@ def _solve(d, mu, stencil: Stencil, p, solver: SolverConfig):
 
 
 def _pdhg(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
-    """First-order primal-dual iteration; the problem is 1-strongly convex.
+    """Accelerated forward-backward splitting on the dual problem; the
+    primal problem is 1-strongly convex.
 
-    Each stencil pair carries one dual variable. For p = 1 the dual problem
-    is the box-constrained quadratic min_{|q| <= w} 1/2 |K^T q - d|^2 and is
-    driven by accelerated projected ascent with function restart (primal
-    recovered as f = d - K^T q); K is linear, so the momentum point moves
-    forward to z_k + c (z_k - z_{k-1}) with z_k = q_k + K f_k / L. For p = 2
-    both the fidelity and the dual of the regularizer are strongly convex and
-    the classical primal-dual iteration with constant steps converges
-    linearly.
+    Each stencil pair carries one dual variable q; the primal is
+    x = d - K^T q, and the dual problem min_q 1/2 |K^T q - d|^2 + h(q), h the
+    conjugate of the pair term. For p = 1, h is the indicator of |q| <= w and
+    its prox the clip; for p = 2, h is sum q^2 / (4w) and its prox with step
+    1/L the scaling q w / (w + 1/(2L)). Both leave 0 where w = 0. The bound
+    L = :attr:`Stencil.op_norm_sq` >= |K|^2 makes the step 1/L admissible.
+    K is linear, so the momentum point moves forward to
+    z_k + c (z_k - z_{k-1}) with z_k = q_k + K x_k / L.
 
-    Both branches take their steps from one bound L >= |K|^2, K the
-    difference operator of the grid pairs: :attr:`Stencil.op_norm_sq`, the
-    smaller of 2 max_degree and the largest value of the stencil symbol
-    sum_o 2 (1 - cos w . o) on the frequencies of a torus that contains the
-    grid. K is a submatrix of the torus's difference operator, whose normal
-    matrix is circulant with the symbol as its eigenvalues, so the bound
-    holds exactly; it is 12 for the closed 2D stencil where 2 max_degree is
-    16, and 4 for the 1D box either way. The dual gradient K (K^T q - d) is
-    then L-Lipschitz, so 1/L is an admissible step (Beck and Teboulle,
-    2009); the p = 2 steps are the linearly convergent choice of Chambolle
-    and Pock (2011) with |K| <= sqrt(L).
+    p = 1 takes the FISTA momentum (Beck and Teboulle, 2009) with function
+    restart on the dual objective and stops on the energy plateau of
+    ``solver.tol`` and ``solver.plateau``. For p = 2, h is mu = 1/(2 max w)
+    strongly convex; the constant momentum (1 - sqrt(s)) / (1 + sqrt(s)),
+    s = mu / (L + mu), converges linearly (Chambolle and Pock, Acta Numerica
+    2016), where function restart resets it every few steps on stiff stencils.
+    p = 2 stops on the duality gap of the cell-normalized problem, g = K x:
+
+        G = P(x) - D(q) = sum w (g - q / (2w))^2 >= 1/2 |x - x*|^2,
+
+    a sum without cancellation, once sqrt(2G) <= 1e-13 (1 + max |d|), and
+    returns that certified x, not the lowest-energy iterate: near the optimum
+    the energies of successive iterates tie at about eps E, far above G.
     """
-    gather, scatter, project = stencil.gather, stencil.scatter, stencil.project
-    op_norm_sq = stencil.op_norm_sq
-    converged = False
-    it = 0
-    if p == 1:
-        step = 1.0 / op_norm_sq
-        z = gather(d) * step  # q_0 = 0, f_0 = d
-        z_prev = z.copy()
-        q, g = np.empty_like(z), np.empty_like(z)
-        x, kq = np.empty_like(d), np.empty_like(d)
-        t_acc = 1.0
-        dual_last = math.inf
-        for it in range(1, solver.max_iter + 1):
+    gather, scatter = stencil.gather, stencil.scatter
+    step = 1.0 / stencil.op_norm_sq
+    if p != 1:
+        wn = stencil.pair_weights()
+        # 1/(2w), 0 where w = 0 and where it would overflow (subnormal w,
+        # whose term of the gap lies below the normal range anyway)
+        half_inv_w = np.divide(0.5, wn, out=np.zeros_like(wn),
+                               where=wn >= np.finfo(float).tiny)
+        factor = wn / (wn + 0.5 * step)  # the prox, 0 where w = 0
+        # sqrt(s) = sqrt(mu / (L + mu)), written to stay finite for any w
+        root = math.sqrt(1.0 / (1.0 + 2.0 * stencil.op_norm_sq * float(np.max(wn))))
+        momentum = (1.0 - root) / (1.0 + root)
+        gap_stop = 0.5 * (1e-13 * (1.0 + float(np.max(np.abs(d))))) ** 2
+    z = gather(d) * step  # q_0 = 0, x_0 = d
+    z_prev = z.copy()
+    q, g = np.empty_like(z), np.empty_like(z)
+    x, kq = np.empty_like(d), np.empty_like(d)
+
+    def take_prox():
+        # q = prox(q), x = d - K^T q, g = K x
+        if p == 1:
+            stencil.project(q)
+        else:
+            np.multiply(q, factor, out=q)
+        np.subtract(d, scatter(q, out=kq), out=x)
+        gather(x, out=g)
+
+    t_acc = 1.0
+    dual_last = math.inf
+    for it in range(1, solver.max_iter + 1):
+        if p == 1:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            # q = project(z + c (z - z_prev)), x = d - K^T q, g = K x
-            np.subtract(z, z_prev, out=q)
-            q *= (t_acc - 1.0) / t_next
-            q += z
-            project(q)
-            np.subtract(d, scatter(q, out=kq), out=x)
-            gather(x, out=g)
+            momentum = (t_acc - 1.0) / t_next
+        # the momentum point z + c (z - z_prev)
+        np.subtract(z, z_prev, out=q)
+        q *= momentum
+        q += z
+        take_prox()
+        if p == 1:
             dual_obj = 0.5 * float(x @ x)
             if dual_obj > dual_last:
                 # momentum overshot: restart from the last point
                 t_next = 1.0
                 np.copyto(q, z)
-                project(q)
-                np.subtract(d, scatter(q, out=kq), out=x)
-                gather(x, out=g)
+                take_prox()
                 dual_obj = 0.5 * float(x @ x)
-            # z = q + g / L into the buffer of z_prev; the product with 1/L
-            # costs half the quotient and equals it when L is a power of two
-            np.multiply(g, step, out=z_prev)
-            z_prev += q
-            z, z_prev = z_prev, z
-            t_acc = t_next
-            dual_last = dual_obj
-            if tracker.step(x, total_energy(x, g)):
-                converged = True
-                break
-    else:
-        # p = 2: strongly convex saddle problem, fixed steps, theta < 1.
-        # The energy is bit-flat within ~sqrt(eps) of the optimum while the
-        # iterates still converge linearly, so on top of the energy plateau
-        # the step size itself must stagnate before stopping.
-        wn = stencil.pair_weights()
-        delta = 1.0 / (2.0 * float(np.max(wn)))
-        rate = 2.0 * math.sqrt(delta) / math.sqrt(op_norm_sq)
-        tau = rate / 2.0
-        sigma = rate / (2.0 * delta)
-        theta = 1.0 / (1.0 + rate)
-        with np.errstate(divide="ignore"):
-            # a wrapped pair's dual value is pinned to 0
-            shrink = 1.0 + sigma / (2.0 * wn)
-        f = f0.copy()
-        f_bar = f.copy()
-        q = np.zeros(stencil.size)
-        scale = 1.0 + float(np.max(np.abs(d)))
-        small_steps = 0
-        for it in range(1, solver.max_iter + 1):
-            q = (q + sigma * gather(f_bar)) / shrink
-            f_new = (f - tau * scatter(q) + tau * d) / (1.0 + tau)
-            step_inf = float(np.max(np.abs(f_new - f)))
-            f_bar = f_new + theta * (f_new - f)
-            f = f_new
-            # individual steps can vanish mid-flight (the alternation passes
-            # through f periodically), so stagnation must be consecutive
-            small_steps = small_steps + 1 if step_inf <= 1e-13 * scale else 0
-            if tracker.step(f, total_energy(f)) and small_steps >= solver.plateau:
-                converged = True
-                break
-    return it, converged
+            t_acc, dual_last = t_next, dual_obj
+        # z = q + g / L into the buffer of z_prev; the product with 1/L
+        # costs half the quotient and equals it when L is a power of two
+        np.multiply(g, step, out=z_prev)
+        z_prev += q
+        z, z_prev = z_prev, z
+        if tracker.step(x, total_energy(x, g)) and p == 1:
+            return it, True
+        if p != 1 and float(np.square(g - q * half_inv_w) @ wn) <= gap_stop:
+            tracker.best = x  # the certified iterate
+            return it, True
+    return solver.max_iter, False
 
 
 def _smoothed_descent(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
@@ -358,7 +355,7 @@ def _smoothed_descent(d, f0, stencil: Stencil, p, solver, tracker, total_energy)
     iteration budget). Works for any p >= 1."""
     from scipy.optimize import minimize as _sp_minimize
 
-    eps = solver.smooth_eps
+    eps = SMOOTH_EPS
     wn = stencil.pair_weights()
 
     def fun(x):
@@ -390,7 +387,9 @@ def denoise(data: DataTerm, params: EnergyParams,
 
     Non-convergence within ``max_iter`` is reported through the ``converged``
     flag, never an exception. The returned trace is non-increasing and the
-    minimizer never has higher energy than the starting point.
+    minimizer never has higher energy than the starting point, except that a
+    converged primal-dual p = 2 solve returns its certified iterate (see
+    :func:`_pdhg`).
     """
     solver = solver if solver is not None else SolverConfig()
     if data.grid_n != params.grid_n:

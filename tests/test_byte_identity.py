@@ -68,13 +68,16 @@ def _case(name):
 # oracle-1d were re-recorded when the step bound went from 2 max_degree to the
 # stencil symbol (8 -> 6.249, 16 -> 12 and 16 -> 11); the minimizers moved by
 # 2.2e-7, 3.5e-6 and 5.8e-8. The 1D box bound stays 4, so its pins did not move.
+# closed-1d-box-p2 was re-recorded when p = 2 moved from the Chambolle-Pock loop
+# to the dual loop of p = 1 with constant momentum and a duality-gap stop
+# (39 -> 22 iterations); its minimizer moved by 5.8e-14.
 GOLDEN = {
     "closed-1d-box":
         (293, "04b556493a5f5e54ac26ecaca9bf01fc8792011555a92df884dd82c5ca178c87"),
     "closed-1d-box2":
         (197, "7001e9370ec99e11ff1ce35bb025f92a204d0ca201b1fcc6570975358274669f"),
     "closed-1d-box-p2":
-        (39, "8d573ff911aa4025af5be4bd60f973ddcfd09df8bdd2f5308ef6e4b51f41fe04"),
+        (22, "3405b350341f4f86eb0658c63e6a05bdeb6a9b28c592fc3920a348b3eac411fa"),
     "closed-2d-disc":
         (67, "2080d09ebf0597bdbb529a02d627963837dc5841a304aaea59ab452e2e1363da"),
     "oracle-1d":

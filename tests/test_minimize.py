@@ -523,13 +523,11 @@ def test_denoise_validates_shapes_and_solver():
 
 
 def _reference_pdhg(d, mu, stencil, p, solver):
-    """The primal-dual loop before the one-scatter iteration: the momentum
-    point is scattered and gathered afresh, the energy gathers again, the
-    projection clips against per-pair bounds and the adjoint sums the base
-    and partner ends apart (p = 2 differs from the solver only in that
-    adjoint and in recomputing the dual divisor each step). Returns the
-    iteration count and every iterate the tracker saw, with its energy (the
-    initial point first)."""
+    """The p = 1 primal-dual loop before the one-scatter iteration: the
+    momentum point is scattered and gathered afresh, the energy gathers
+    again, the projection clips against per-pair bounds and the adjoint sums
+    the base and partner ends apart. Returns the iteration count and every
+    iterate the tracker saw, with its energy (the initial point first)."""
     gather = stencil.gather
 
     def scatter(q):
@@ -544,59 +542,32 @@ def _reference_pdhg(d, mu, stencil, p, solver):
 
     tracker = _Tracker(d, total_energy(d), solver.tol, solver.plateau)
     seen = [(d.copy(), tracker.best_energy)]
-
-    def step(x):
-        e = total_energy(x)
-        seen.append((x.copy(), e))
-        return tracker.step(x, e)
-
     op_norm_sq = stencil.op_norm_sq  # the solver's step bound
+    q = np.zeros(stencil.size)
+    q_prev = q.copy()
+    t_acc = 1.0
+    dual_last = math.inf
     it = 0
-    if p == 1:
-        q = np.zeros(stencil.size)
-        q_prev = q.copy()
-        t_acc = 1.0
-        dual_last = math.inf
-        for it in range(1, solver.max_iter + 1):
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            y = q + ((t_acc - 1.0) / t_next) * (q - q_prev)
-            x = d - scatter(y)
-            q_new = np.clip(y + gather(x) / op_norm_sq, -wn, wn)
+    for it in range(1, solver.max_iter + 1):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        y = q + ((t_acc - 1.0) / t_next) * (q - q_prev)
+        x = d - scatter(y)
+        q_new = np.clip(y + gather(x) / op_norm_sq, -wn, wn)
+        x_new = d - scatter(q_new)
+        dual_obj = 0.5 * float(x_new @ x_new)
+        if dual_obj > dual_last:
+            t_next = 1.0
+            x = d - scatter(q)
+            q_new = np.clip(q + gather(x) / op_norm_sq, -wn, wn)
             x_new = d - scatter(q_new)
             dual_obj = 0.5 * float(x_new @ x_new)
-            if dual_obj > dual_last:
-                t_next = 1.0
-                x = d - scatter(q)
-                q_new = np.clip(q + gather(x) / op_norm_sq, -wn, wn)
-                x_new = d - scatter(q_new)
-                dual_obj = 0.5 * float(x_new @ x_new)
-            q_prev, q = q, q_new
-            t_acc = t_next
-            dual_last = dual_obj
-            if step(x_new):
-                break
-    else:
-        delta = 1.0 / (2.0 * float(np.max(wn)))
-        rate = 2.0 * math.sqrt(delta) / math.sqrt(op_norm_sq)
-        tau = rate / 2.0
-        sigma = rate / (2.0 * delta)
-        theta = 1.0 / (1.0 + rate)
-        f = d.copy()
-        f_bar = f.copy()
-        q = np.zeros(stencil.size)
-        scale = 1.0 + float(np.max(np.abs(d)))
-        small_steps = 0
-        for it in range(1, solver.max_iter + 1):
-            with np.errstate(divide="ignore"):
-                # a wrapped pair's dual value is pinned to 0
-                q = (q + sigma * gather(f_bar)) / (1.0 + sigma / (2.0 * wn))
-            f_new = (f - tau * scatter(q) + tau * d) / (1.0 + tau)
-            step_inf = float(np.max(np.abs(f_new - f)))
-            f_bar = f_new + theta * (f_new - f)
-            f = f_new
-            small_steps = small_steps + 1 if step_inf <= 1e-13 * scale else 0
-            if step(f) and small_steps >= solver.plateau:
-                break
+        q_prev, q = q, q_new
+        t_acc = t_next
+        dual_last = dual_obj
+        e = total_energy(x_new)
+        seen.append((x_new.copy(), e))
+        if tracker.step(x_new, e):
+            break
     return it, seen
 
 
@@ -629,17 +600,22 @@ def _reference_case(name):
     return _disc_image(16, 31), stencil, p, alpha, SolverConfig()
 
 
-@pytest.mark.parametrize("name", [
-    "pinned-closed-1d-box", "pinned-closed-1d-box2", "pinned-closed-1d-box-p2",
-    "pinned-closed-2d-disc", "pinned-oracle-1d",
-    "disc32-p1", "disc32-p2", "oracle-many-offsets-p1", "oracle-many-offsets-p2",
-])
-def test_pdhg_matches_reference_iteration(name):
+def _normalized_problem(name):
+    """(data vector, cell measure, cell-normalized stencil, p, solver) of
+    one comparison case, as :func:`nltv.denoise` hands them to the solver."""
     data, reg, p, alpha, solver = _reference_case(name)
     mu = data.size ** -1.0
     scale = alpha / kpn(p, data.ndim).value
     stencil = Stencil(reg.shape, [(off, scale * w / mu) for off, w in reg.terms])
-    d = data.ravel().astype(float)
+    return data.ravel().astype(float), mu, stencil, p, solver
+
+
+@pytest.mark.parametrize("name", [
+    "pinned-closed-1d-box", "pinned-closed-1d-box2", "pinned-closed-2d-disc",
+    "pinned-oracle-1d", "disc32-p1", "oracle-many-offsets-p1",
+])
+def test_pdhg_matches_reference_iteration(name):
+    d, mu, stencil, p, solver = _normalized_problem(name)
     best, trace, iterations, _ = _solve(d, mu, stencil, p, solver)
     ref_iterations, seen = _reference_pdhg(d, mu, stencil, p, solver)
     assert iterations == ref_iterations
@@ -649,6 +625,74 @@ def test_pdhg_matches_reference_iteration(name):
     # the reference's minimizer: the last iterate of the lowest energy
     ref_best = min(reversed(seen), key=lambda item: item[1])[0]
     assert float(np.max(np.abs(best - ref_best))) <= 1e-12
+
+
+def _dense_p2_minimizer(d, stencil):
+    """Minimizer of 1/2 |x - d|^2 + sum w (K x)^2, the solution of
+    (I + 2 K^T W K) x = d: a dense solve refined twice with residuals taken
+    in extended precision, so that it stays accurate for large weights."""
+    wn = stencil.pair_weights()
+
+    def apply(x, dtype):
+        x = x.astype(dtype)
+        g = stencil.gather(x, out=np.empty(stencil.size, dtype))
+        return x + 2.0 * stencil.scatter(wn * g, out=np.empty(d.size, dtype))
+
+    a = np.stack([apply(e, float) for e in np.eye(d.size)], axis=1)
+    x = np.linalg.solve(a, d)
+    for _ in range(2):
+        r = d.astype(np.longdouble) - apply(x, np.longdouble)
+        x = x + np.linalg.solve(a, r.astype(float))
+    return x
+
+
+def _assert_certified_p2(d, mu, stencil, solver):
+    """A p = 2 solve converges, lies within its gap certificate
+    |x - x*| <= 1e-13 (1 + max |d|) of the dense solution, keeps a
+    non-increasing trace, and its prox leaves exactly 0.0 on every wrapped or
+    zero-weight pair of every dual vector it scatters."""
+    exact = _dense_p2_minimizer(d, stencil)
+    zero = stencil.pair_weights() == 0.0
+    scatter = stencil.scatter
+    scattered = []
+
+    def spy(q, out=None):
+        scattered.append(bool(np.all(q[zero] == 0.0)))
+        return scatter(q, out=out)
+
+    stencil.scatter = spy
+    x, trace, _, converged = _solve(d, mu, stencil, 2.0, solver)
+    assert converged
+    assert np.linalg.norm(x - exact) <= 1e-13 * (1.0 + np.max(np.abs(d)))
+    assert np.all(np.diff(trace) <= 0.0)
+    assert all(scattered)
+
+
+@pytest.mark.parametrize("name", ["pinned-closed-1d-box-p2", "disc32-p2",
+                                  "oracle-many-offsets-p2"])
+def test_pdhg_p2_matches_dense_solve(name):
+    d, mu, stencil, p, solver = _normalized_problem(name)
+    assert p == 2.0
+    _assert_certified_p2(d, mu, stencil, solver)
+
+
+@st.composite
+def _p2_inputs(draw):
+    dim = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 9))
+    offsets = draw(st.lists(st.tuples(*[st.integers(-n - 1, n + 1)] * dim),
+                            min_size=1, max_size=3))
+    weight = st.just(0.0) | st.floats(0.0, 1e3)
+    weights = draw(st.lists(weight, min_size=len(offsets), max_size=len(offsets)))
+    d = draw(arrays(np.float64, n ** dim, elements=st.floats(-1e2, 1e2)))
+    return d, Stencil((n,) * dim, list(zip(offsets, weights)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_p2_inputs())
+def test_pdhg_p2_certificate_property(case):
+    d, stencil = case
+    _assert_certified_p2(d, 1.0 / d.size, stencil, SolverConfig())
 
 
 # ---------------------------------------------------------------------------
