@@ -1,10 +1,10 @@
 """Command-line surface: evaluation, verification, denoising, experiments.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input
-(including non-finite values), 3 verification tolerance exceeded, 4 solver
-non-convergence. Every run with identical flags and inputs produces
-byte-identical outputs; report files carry a version/config-hash header line
-for reproducibility.
+(including non-finite values and bad PGM pixels), 3 verification tolerance
+exceeded, 4 solver non-convergence. Every run with identical flags and inputs
+produces byte-identical outputs; report files carry a version/config-hash
+header line for reproducibility.
 """
 
 from __future__ import annotations
@@ -164,17 +164,20 @@ def read_pgm(path: str):
     if magic == b"P2":
         pixels = _plain_p2_pixels(data[maxval_end:], count)
         if pixels is None:
-            pixels = np.empty(count, dtype=np.uint32)
+            values = []  # sized by the tokens read, not by the header
             for k in range(count):
                 pos, tok = next(tokens)
                 if tok is None:
                     raise InputFormatError(f"{path}: byte {pos}: expected "
                                            f"{count} pixels, got {k}")
                 try:
-                    pixels[k] = int(tok)
+                    value = int(tok)
                 except ValueError:
-                    raise InputFormatError(
-                        f"{path}: byte {pos}: bad pixel {tok!r}") from None
+                    value = -1
+                if not 0 <= value < 2 ** 32:
+                    raise InputFormatError(f"{path}: byte {pos}: bad pixel {tok!r}")
+                values.append(value)
+            pixels = np.array(values, dtype=np.uint32)
     else:
         # single whitespace byte after the maxval token, then the raster
         start = maxval_end + 1
@@ -192,24 +195,20 @@ def read_pgm(path: str):
     return arr, maxval
 
 
-def write_pgm(path: str, values, maxval: int = 255, raw: bool = True) -> None:
-    """Quantize values in [0, 1] to a P5 (or P2) PGM; round-trip error is at
-    most 1/(2 maxval) per pixel."""
+def write_pgm(path: str, values, maxval: int = 255) -> None:
+    """Quantize values in [0, 1] to a binary (P5) PGM, the only kind written;
+    round-trip error is at most 1/(2 maxval) per pixel."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError("PGM output needs a 2D array")
     if not 1 <= maxval <= 65535:
         raise ValueError("maxval must lie in [1, 65535]")
     quant = np.clip(np.rint(np.clip(arr, 0.0, 1.0) * maxval), 0, maxval)
-    header = f"{'P5' if raw else 'P2'}\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n"
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n"
+    dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if raw:
-            dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
-            fh.write(quant.astype(dtype).tobytes())
-        else:
-            for row in quant.astype(int):
-                fh.write((" ".join(str(v) for v in row) + "\n").encode("ascii"))
+        fh.write(quant.astype(dtype).tobytes())
 
 
 def image_from_pgm(arr: np.ndarray) -> Image2D:
@@ -412,6 +411,9 @@ def _load_denoise_input(path: str):
 def _cmd_denoise(args) -> int:
     values, maxval = _load_denoise_input(args.input)
     dim = values.ndim
+    pgm_out = args.out.lower().endswith((".pgm", ".pnm"))
+    if pgm_out and dim != 2:
+        raise UsageError("PGM output requires a 2D input")
     kernel_name = args.kernel or ("box" if dim == 1 else "disc")
     kind = _KERNELS[kernel_name]
     kernel = Kernel(kind, args.scale if args.scale is not None else values.shape[0])
@@ -432,9 +434,7 @@ def _cmd_denoise(args) -> int:
                "p": args.p, "kernel": kernel_name, "scale": kernel.n,
                "solver": args.solver, "tol": args.tol,
                "max_iter": args.max_iter}
-    if args.out.lower().endswith((".pgm", ".pnm")):
-        if dim != 2:
-            raise UsageError("PGM output requires a 2D input")
+    if pgm_out:
         write_pgm(args.out, result.minimizer, maxval=maxval or 255)
     else:
         write_signal_csv(args.out, result.minimizer.ravel(),
@@ -485,10 +485,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -97,10 +97,9 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class DataTerm:
-    """Noisy data on the grid plus the Lebesgue weight of one cell."""
+    """Noisy data on the grid, which fixes :attr:`cell_measure`."""
 
     data: np.ndarray
-    cell_measure: float
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=float)
@@ -111,25 +110,27 @@ class DataTerm:
         if not np.all(np.isfinite(arr)):
             raise ValueError("data must be finite")
         object.__setattr__(self, "data", arr)
-        expected = float(arr.shape[0]) ** (-arr.ndim)
-        if not math.isclose(self.cell_measure, expected, rel_tol=1e-12):
-            raise ValueError(f"cell_measure must be {expected} for this grid")
 
     @classmethod
     def of(cls, data) -> "DataTerm":
-        arr = np.asarray(data, dtype=float)
-        return cls(data=arr, cell_measure=float(arr.shape[0]) ** (-arr.ndim))
+        return cls(data=data)
 
     @property
     def grid_n(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def cell_measure(self) -> float:
+        """n^-dim, the Lebesgue measure of one cell of the n-per-axis grid."""
+        return float(self.grid_n) ** (-self.data.ndim)
 
 
 @dataclass
 class SolverConfig:
     """Iteration policy: stop at ``max_iter``, or once the relative energy
     decrement stays below ``tol`` for ``plateau`` consecutive iterations
-    (primal-dual p = 2 solves stop on a duality-gap certificate instead)."""
+    (primal-dual p = 2 solves stop on a duality-gap certificate instead).
+    ``init`` is the smooth solver's start; ``pd`` starts from the data."""
 
     method: str = "pd"
     tol: float = 1e-8
@@ -142,6 +143,11 @@ class SolverConfig:
             raise ValueError("solver method must be 'pd' or 'smooth'")
         if not 0 < self.tol < math.inf or self.max_iter < 1 or self.plateau < 1:
             raise ValueError("solver tolerances must be positive and finite")
+        if self.init is not None and self.method == "pd":
+            raise ValueError("the primal-dual solver starts from the data; "
+                             "init is the smooth solver's start")
+        if self.init is not None and not np.all(np.isfinite(self.init)):
+            raise ValueError("init must be finite")
 
 
 @dataclass
@@ -240,28 +246,28 @@ def _solve(d, mu, stencil: Stencil, p, solver: SolverConfig):
     """Shared scaffold of both solvers for the cell-normalized problem
     min 1/2 |f - d|^2 + sum w |f_i - f_{i+o}|^p, whose minimizer is that of
     the original energy (``stencil`` carries the weights divided by the cell
-    measure ``mu``). Energies are reported in the original scaling.
+    measure ``mu``). Energies are reported in the original scaling. ``smooth``
+    starts from ``solver.init`` if given, ``pd`` from the data.
 
     Returns (minimizer, energy trace, iterations, converged).
     """
-    f0 = (solver.init.ravel().astype(float).copy() if solver.init is not None
-          else d.copy())
+    f0 = d if solver.init is None else np.asarray(solver.init, dtype=float).ravel()
     if f0.size != d.size:
         raise ValueError("init must have the same size as the data")
 
     def total_energy(x, diffs=None):
         return mu * (0.5 * float(np.sum((x - d) ** 2)) + stencil.value(x, p, diffs))
 
-    tracker = _Tracker(f0, total_energy(f0), solver.tol, solver.plateau)
     if stencil.op_norm_sq == 0.0:
-        # K = 0: no pair of the grid, or only zero offsets
-        return tracker.best, tracker.trace, 0, True
+        # K = 0 (no pair of the grid, or only zero offsets): the data minimizes
+        return d.copy(), [total_energy(d)], 0, True
+    tracker = _Tracker(f0, total_energy(f0), solver.tol, solver.plateau)
     run = _pdhg if solver.method == "pd" else _smoothed_descent
-    iterations, converged = run(d, f0, stencil, p, solver, tracker, total_energy)
+    iterations, converged = run(d, stencil, p, solver, tracker, total_energy)
     return tracker.best, tracker.trace, iterations, converged
 
 
-def _pdhg(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
+def _pdhg(d, stencil: Stencil, p, solver, tracker, total_energy):
     """Accelerated forward-backward splitting on the dual problem; the
     primal problem is 1-strongly convex.
 
@@ -348,11 +354,11 @@ def _pdhg(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
     return solver.max_iter, False
 
 
-def _smoothed_descent(d, f0, stencil: Stencil, p, solver, tracker, total_energy):
+def _smoothed_descent(d, stencil: Stencil, p, solver, tracker, total_energy):
     """Cross-validation solver: descent with line search on the smoothed
     surrogate with |t| ~ sqrt(t^2 + eps^2), driven by L-BFGS (plain gradient
     steps cannot traverse the 1/eps-stiff kink regions in any reasonable
-    iteration budget). Works for any p >= 1."""
+    iteration budget), from the tracker's start. Works for any p >= 1."""
     from scipy.optimize import minimize as _sp_minimize
 
     eps = SMOOTH_EPS
@@ -372,7 +378,7 @@ def _smoothed_descent(d, f0, stencil: Stencil, p, solver, tracker, total_energy)
     def on_iterate(xk):
         tracker.step(xk, total_energy(xk))
 
-    res = _sp_minimize(fun, f0, jac=True, method="L-BFGS-B",
+    res = _sp_minimize(fun, tracker.best, jac=True, method="L-BFGS-B",
                        callback=on_iterate,
                        options=dict(maxiter=solver.max_iter,
                                     ftol=min(solver.tol, 1e-12),

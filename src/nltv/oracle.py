@@ -83,7 +83,6 @@ class EvalReport:
     value: float
     stderr_estimate: float
     richardson_delta: float
-    config: OracleConfig
 
     def __post_init__(self):
         if self.value < 0 or not math.isfinite(self.stderr_estimate):
@@ -344,7 +343,7 @@ def _eval_piecewise_constant(a: np.ndarray, kernel: Kernel,
         if coeff_sum > 0.0:
             tasks.append((_canonical(off), coeff_sum))
     if not tasks:
-        return EvalReport(0.0, 0.0, 0.0, cfg)
+        return EvalReport(0.0, 0.0, 0.0)
     # the correlation of two adjacent cells vanishes linearly at the origin,
     # so against the radial measure rho^(dim-1) the integral of rho^(-p)
     # diverges from p = dim + 1 on
@@ -367,7 +366,7 @@ def _eval_piecewise_constant(a: np.ndarray, kernel: Kernel,
             var += err ** 2
         else:
             delta += err
-    return EvalReport(value, math.sqrt(var), delta, cfg)
+    return EvalReport(value, math.sqrt(var), delta)
 
 
 def oracle_terms(kernel: Kernel, grid_n: int, cfg: OracleConfig) -> list:
@@ -425,7 +424,7 @@ def _curve_gauss_1d(func, knots: np.ndarray, kernel: Kernel, cfg: OracleConfig,
     near = band_value(delta)
     far = band_value(2.0 * delta)
     value = 2.0 * near - far
-    return EvalReport(max(value, 0.0), 0.0, abs(near - far), cfg)
+    return EvalReport(max(value, 0.0), 0.0, abs(near - far))
 
 
 def _curve_mc_1d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
@@ -443,7 +442,7 @@ def _curve_mc_1d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     # at least 1,000 samples in each of the u strata
     value, stderr = _stratified_mc(integrand, axes, max(_STRATA_1D * 1000, cfg.samples),
                                    _stream(cfg.seed, 0))
-    return EvalReport(value, stderr, 0.0, cfg)
+    return EvalReport(value, stderr, 0.0)
 
 
 def _kernel_values_2d(kernel: Kernel, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -473,28 +472,24 @@ def _callable_mc_2d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
 
     value, stderr = _stratified_mc(integrand, [(0, 1), (0, 1), (-r, r), (-r, r)],
                                    cfg.samples, _stream(cfg.seed, 0))
-    return EvalReport(value, stderr, 0.0, cfg)
+    return EvalReport(value, stderr, 0.0)
 
 
-def geometric_factor_1d(d: int, grid_m: int, kernel: Kernel, cfg: OracleConfig,
-                        samples: int | None = None):
+def geometric_factor_1d(d: int, grid_m: int, kernel: Kernel, cfg: OracleConfig):
     """Kernel-weighted integral of 1/|x-y|^p over a 1D cell pair at index
     distance ``d`` (both orientations). Returns (value, error estimate)."""
     if d < 1 or grid_m < 1:
         raise ValueError("need d >= 1 and grid_m >= 1")
-    return _pair_factor((d,), grid_m, kernel, cfg,
-                        samples if samples is not None else cfg.samples)
+    return _pair_factor((d,), grid_m, kernel, cfg, cfg.samples)
 
 
-def geometric_factor_2d(offset, grid_n: int, kernel: Kernel, cfg: OracleConfig,
-                        samples: int | None = None):
+def geometric_factor_2d(offset, grid_n: int, kernel: Kernel, cfg: OracleConfig):
     """Kernel-weighted integral of 1/|x-y|^p over a 2D cell pair at the given
     offset (both orientations). Returns (value, error estimate)."""
     dx, dy = offset
     if (dx, dy) == (0, 0) or grid_n < 1:
         raise ValueError("offset must be nonzero and grid_n >= 1")
-    return _pair_factor((dx, dy), grid_n, kernel, cfg,
-                        samples if samples is not None else cfg.samples)
+    return _pair_factor((dx, dy), grid_n, kernel, cfg, cfg.samples)
 
 
 def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
@@ -554,4 +549,4 @@ def fit_stencil(kind: KernelKind, n: int, cfg: OracleConfig) -> StencilWeights:
     r_edge = oracle_eval(edge, kernel, replace(cfg, seed=cfg.seed + 1)).value
     lateral = r_checker / (2.0 * n * (n - 1))
     diagonal = (r_edge - n * lateral) / (2.0 * (n - 1))
-    return StencilWeights(lateral=lateral, diagonal=diagonal, kernel_kind=kind, n=n)
+    return StencilWeights(lateral=lateral, diagonal=diagonal)

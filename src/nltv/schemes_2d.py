@@ -58,8 +58,6 @@ class StencilWeights:
 
     lateral: float
     diagonal: float
-    kernel_kind: KernelKind
-    n: int
 
     def __post_init__(self):
         if not self.lateral > self.diagonal > 0.0:
@@ -98,7 +96,7 @@ def stencil_weights(kind: KernelKind, n: int) -> StencilWeights:
         diagonal = (_SQRT2 - 1.0) / (3.0 * n)
     else:
         raise ValueError(f"2D stencil weights require a 2D kernel, got {kind!r}")
-    return StencilWeights(lateral=lateral, diagonal=diagonal, kernel_kind=kind, n=n)
+    return StencilWeights(lateral=lateral, diagonal=diagonal)
 
 
 def image_pair_sums(f: Image2D) -> tuple:

@@ -227,6 +227,22 @@ def test_pgm_rejects_malformed(tmp_path):
         image_from_pgm(arr)
 
 
+@pytest.mark.parametrize("pixel", ["-3", "4294967296", "9" * 25])
+def test_p2_pixel_out_of_range_is_an_input_error(tmp_path, capsys, pixel):
+    text = f"P2\n2 2\n255\n0 {pixel} 0 0\n"
+    img = tmp_path / "img.pgm"
+    img.write_text(text)
+    assert main(["eval", "--family", "image", "--input", str(img)]) == 2
+    assert f"byte {text.index(pixel)}: bad pixel" in capsys.readouterr().err
+
+
+def test_p2_header_size_is_checked_against_the_pixels(tmp_path, capsys):
+    img = tmp_path / "img.pgm"
+    img.write_text("P2\n1000000 1000000\n255\n0 1 2 3\n")
+    assert main(["eval", "--family", "image", "--input", str(img)]) == 2
+    assert "expected 1000000000000 pixels, got 4" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -303,6 +319,19 @@ def test_denoise_pgm_roundtrip(tmp_path):
                  "--out", str(out)]) == 0
     arr, maxval = read_pgm(str(out))
     assert arr.shape == (6, 6) and maxval == 255
+
+
+def test_pgm_output_of_1d_input_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    sig = tmp_path / "d.csv"
+    write_signal_csv(str(sig), np.zeros(4))
+
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "denoise", no_solve)
+    assert main(["denoise", "--input", str(sig), "--alpha", "0.1",
+                 "--out", str(tmp_path / "x.pgm")]) == 1
+    assert "PGM output requires a 2D input" in capsys.readouterr().err
 
 
 def test_denoise_non_convergence_exit_code(tmp_path, capsys):

@@ -94,9 +94,35 @@ def test_param_validation():
         EnergyParams(p=2.0, alpha=1.0, kernel=Kernel(KernelKind.BOX1D, 2),
                      grid_n=8, scheme=SCHEME_ORACLE)
     with pytest.raises(ValueError):
-        DataTerm(data=np.zeros(4), cell_measure=0.5)
-    with pytest.raises(ValueError):
         DataTerm.of(np.zeros((2, 3)))
+
+
+def test_init_is_the_smooth_solver_start_only():
+    with pytest.raises(ValueError, match="starts from the data"):
+        SolverConfig(init=np.zeros(4))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(method="smooth", init=np.array([0.0, bad]))
+
+
+def test_no_pair_returns_the_data():
+    # K = 0 on a 1-cell grid: the data is the minimizer wherever a solve starts
+    oracle_1x1 = EnergyParams(p=1.0, alpha=0.1, kernel=Kernel(KernelKind.DISC2D, 1),
+                              grid_n=1, scheme=SCHEME_ORACLE)
+    cases = [(DataTerm.of([0.3]), params_1d(1, alpha=0.1)),
+             (DataTerm.of([[0.3]]), oracle_1x1)]
+    for solver in (SolverConfig(), SolverConfig(method="smooth", init=np.array([5.0]))):
+        for data, params in cases:
+            res = denoise(data, params, solver)
+            assert res.converged and res.iterations == 0
+            assert res.minimizer.tolist() == data.data.tolist()
+            assert res.energy_trace.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 3)])
+def test_cell_measure_is_derived_from_the_grid(shape):
+    for data in (DataTerm(np.zeros(shape)), DataTerm.of(np.zeros(shape))):
+        assert data.cell_measure == shape[0] ** -len(shape)
 
 
 def test_closed_2d_pairs_match_eval_image():

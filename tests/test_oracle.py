@@ -125,11 +125,11 @@ def test_gauss_mc_cross_agreement_on_singularity_free_pairs():
     for n in (4, 9):
         kernel = Kernel(KernelKind.BOX1D_WIDE, n)
         vg, eg = geometric_factor_1d(2, n, kernel, cfg_g)
-        vm, em = geometric_factor_1d(2, n, kernel, cfg_m, samples=400_000)
+        vm, em = geometric_factor_1d(2, n, kernel, cfg_m)
         scale = 3 * max(eg, em) + 1e-12 * abs(vg)
         assert abs(vg - vm) <= scale
     vg, eg = geometric_factor_2d((1, 1), 3, DISC, cfg_g)
-    vm, em = geometric_factor_2d((1, 1), 3, DISC, cfg_m, samples=400_000)
+    vm, em = geometric_factor_2d((1, 1), 3, DISC, cfg_m)
     assert abs(vg - vm) <= 3 * max(eg, em) + 1e-12 * abs(vg)
 
 
