@@ -121,6 +121,15 @@ def _pgm_tokens(data: bytes):
         yield len(data), None
 
 
+def _pgm_number(tok: bytes) -> int:
+    """The value of a PGM number, which is plain ASCII digits (no sign,
+    underscore or other digit), or -1 for any other token."""
+    try:
+        return int(tok) if tok.isdigit() else -1
+    except ValueError:  # more digits than int() converts
+        return -1
+
+
 def _plain_p2_pixels(raster: bytes, count: int):
     """The first ``count`` P2 pixels in one call if they are plain decimals
     of at most 9 digits (no comment, no uint32 overflow); else None."""
@@ -148,12 +157,10 @@ def read_pgm(path: str):
         pos, tok = next(tokens)
         if tok is None:
             raise InputFormatError(f"{path}: truncated header, missing {name}")
-        try:
-            value = int(tok)
-        except ValueError:
-            raise InputFormatError(
-                f"{path}: byte {pos}: bad {name} {tok!r}") from None
-        if value <= 0:
+        value = _pgm_number(tok)
+        if value < 0:
+            raise InputFormatError(f"{path}: byte {pos}: bad {name} {tok!r}")
+        if value == 0:
             raise InputFormatError(f"{path}: byte {pos}: {name} must be positive")
         header.append(value)
         maxval_end = pos + len(tok)
@@ -170,10 +177,7 @@ def read_pgm(path: str):
                 if tok is None:
                     raise InputFormatError(f"{path}: byte {pos}: expected "
                                            f"{count} pixels, got {k}")
-                try:
-                    value = int(tok)
-                except ValueError:
-                    value = -1
+                value = _pgm_number(tok)
                 if not 0 <= value < 2 ** 32:
                     raise InputFormatError(f"{path}: byte {pos}: bad pixel {tok!r}")
                 values.append(value)

@@ -14,8 +14,10 @@ Two methods are available:
   for splines and callbacks a band |x - y| < delta is excluded and the value
   extrapolated linearly in delta.
 * ``mc``: stratified Monte Carlo through one sampler, ``_stratified_mc``,
-  with one counter-based stream per task derived from (seed, task id), so
-  results are reproducible bit for bit regardless of evaluation order.
+  with one counter-based stream per task derived from (seed, task id). Each
+  stratum jumps to its own draws of that stream, so the strata run on up to
+  one thread per available CPU and the results are the same bit for bit
+  whatever the thread count.
 
 Geometric factors depend only on the relative cell offset and are cached.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -89,9 +92,14 @@ class EvalReport:
             raise ValueError("malformed report")
 
 
-def _stream(seed: int, task: int) -> np.random.Generator:
-    # one independent counter-based stream per (seed, task)
-    return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(task)]))
+def _stream(seed: int, task: int, start: int = 0) -> np.random.Generator:
+    """The counter-based stream of (seed, task), positioned at its raw draw
+    ``start``; one uniform double takes one raw draw, and Philox4x64 makes
+    four raw draws per counter step."""
+    bits = np.random.Philox(key=[np.uint64(seed), np.uint64(task)])
+    bits.advance(start // 4)
+    bits.random_raw(start % 4)
+    return np.random.Generator(bits)
 
 
 @lru_cache(maxsize=None)
@@ -125,29 +133,59 @@ def _refine(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stratified_mc(fn, axes, nsamples: int, rng):
+def _per_box(nsamples: int, boxes: int) -> int:
+    return max(2, nsamples // boxes)
+
+
+def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
     """Stratified uniform MC of a vectorized integrand of len(axes) variables.
 
     ``axes`` holds one edge list per axis; the strata are the boxes of their
-    product grid, first axis outermost. Each box draws its share of the budget
-    once per axis, in axis order, and calls ``fn`` on the draws. Returns the
-    estimate and its standard error.
+    product grid, first axis outermost. In box order, each box takes its
+    share of the budget once per axis, in axis order, from the stream of
+    ``key`` = (seed, task) starting at raw draw ``start``, and calls ``fn``
+    on the draws. ``fn`` owns those arrays and may overwrite them.
+
+    Every box starts its own copy of the stream at its first draw, so the
+    boxes run on up to one thread per available CPU, and ``fn`` may be
+    called from several threads at once. The per-box means and deviations
+    are added in box order, so the result does not depend on the thread
+    count. Returns the estimate and its standard error.
     """
     boxes = list(itertools.product(*(zip(e[:-1], e[1:]) for e in axes)))
-    per = max(2, nsamples // len(boxes))
+    per = _per_box(nsamples, len(boxes))
+
+    def box_moments(index):
+        rng = _stream(*key, start + index * len(axes) * per)
+        vals = fn(*(rng.uniform(lo, hi, per) for lo, hi in boxes[index]))
+        return float(vals.mean()), float(vals.std(ddof=1))
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    threads = min(cpus, len(boxes))
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            moments = list(pool.map(box_moments, range(len(boxes))))
+    else:
+        moments = [box_moments(index) for index in range(len(boxes))]
     total = 0.0
     var = 0.0
-    for box in boxes:
+    for box, (mean, std) in zip(boxes, moments):
         vol = math.prod(hi - lo for lo, hi in box)
-        vals = fn(*(rng.uniform(lo, hi, per) for lo, hi in box))
-        total += vol * float(vals.mean())
-        var += (vol * float(vals.std(ddof=1)) / math.sqrt(per)) ** 2
+        total += vol * mean
+        var += (vol * std / math.sqrt(per)) ** 2
     return total, math.sqrt(var)
 
 
 def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
-    # correlation length of two cells of width h at index distance d
-    return np.maximum(h - np.abs(t - d * h), 0.0)
+    """Correlation length of two cells of width h at index distance d,
+    computed in place: overwrites and returns the float array ``t``."""
+    t -= d * h
+    np.abs(t, out=t)
+    np.subtract(h, t, out=t)
+    return np.maximum(t, 0.0, out=t)
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +193,19 @@ def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
 
 
 def _power_transformed(fn, b: float, p: float):
-    # maps the u^{1-p}-singular integral over [0, b] to a bounded one on [0, 1]
+    # maps the u^{1-p}-singular integral over [0, b] to a bounded one on [0, 1];
+    # overwrites v, and fn may overwrite u
     q = 2.0 - p
 
     def wrapped(v):
-        v = np.maximum(v, 1e-300)
-        u = b * v ** (1.0 / q)
-        return fn(u) * (b / q) * v ** (1.0 / q - 1.0)
+        np.maximum(v, 1e-300, out=v)
+        u = v ** (1.0 / q)
+        u *= b
+        vals = fn(u)
+        vals *= b / q
+        v **= 1.0 / q - 1.0
+        vals *= v
+        return vals
 
     return wrapped
 
@@ -181,8 +225,13 @@ def _factor_1d(d: int, grid_m: int, kind: KernelKind, kernel_n: int, method: str
         return 0.0, 0.0
 
     def integrand(u):
+        # overwrites u
         uu = np.maximum(u, 1e-300)
-        return 2.0 * height * _tent(u, d, h) / uu ** p
+        uu **= p
+        vals = _tent(u, d, h)
+        vals *= 2.0 * height
+        vals /= uu
+        return vals
 
     singular = d == 1 and p > 1.0 and lo == 0.0
     if singular and p >= 2.0:
@@ -203,20 +252,22 @@ def _factor_1d(d: int, grid_m: int, kind: KernelKind, kernel_n: int, method: str
             val_f = _gauss_on_panels(integrand, _refine(edges), g)
         return val_f, abs(val_f - val)
 
-    rng = _stream(seed, d)
+    key = (seed, d)
     if singular:
         split = d * h if lo < d * h < hi else hi
         v1, e1 = _stratified_mc(_power_transformed(integrand, split, p),
                                 [np.linspace(0.0, 1.0, _STRATA_1D + 1)],
-                                nsamples // 2, rng)
+                                nsamples // 2, key)
         v2, e2 = (0.0, 0.0)
         if split < hi:
+            # the second piece draws from where the first one ended
             v2, e2 = _stratified_mc(integrand,
                                     [np.linspace(split, hi, _STRATA_1D + 1)],
-                                    nsamples // 2, rng)
+                                    nsamples // 2, key,
+                                    _STRATA_1D * _per_box(nsamples // 2, _STRATA_1D))
         return v1 + v2, math.hypot(e1, e2)
     return _stratified_mc(integrand, [np.linspace(lo, hi, _STRATA_1D + 1)],
-                          nsamples, rng)
+                          nsamples, key)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +349,25 @@ def _factor_2d(dx: int, dy: int, grid_n: int, kind: KernelKind, kernel_n: int,
     ylo, yhi = max((dy - 1) * h, -r), min((dy + 1) * h, r)
     if xhi <= xlo or yhi <= ylo:
         return 0.0, 0.0
-    disc = kernel.kind is KernelKind.DISC2D
 
     def integrand(ux, uy):
-        norm = np.maximum(np.sqrt(ux * ux + uy * uy), 1e-300)
-        vals = 2.0 * kernel.height * _tent(ux, dx, h) * _tent(uy, dy, h) / norm ** p
-        # kernel_eval's rules: the Euclidean norm (disc) or the sup-norm against r
-        vals[(norm if disc else np.maximum(np.abs(ux), np.abs(uy))) > r] = 0.0
+        # overwrites ux and uy
+        norm = ux * ux
+        norm += uy * uy
+        np.sqrt(norm, out=norm)
+        np.maximum(norm, 1e-300, out=norm)
+        # the floor at 1e-300 moves no norm across r
+        outside = _kernel_outside_2d(kernel, ux, uy, norm)
+        vals = _tent(ux, dx, h)
+        vals *= 2.0 * kernel.height
+        vals *= _tent(uy, dy, h)
+        norm **= p
+        vals /= norm
+        vals[outside] = 0.0
         return vals
 
     axes = [np.linspace(xlo, xhi, 5), np.linspace(ylo, yhi, 5)]
-    return _stratified_mc(integrand, axes, nsamples, _stream(seed, 1024 * dx + dy))
+    return _stratified_mc(integrand, axes, nsamples, (seed, 1024 * dx + dy))
 
 
 # ---------------------------------------------------------------------------
@@ -430,48 +489,72 @@ def _curve_gauss_1d(func, knots: np.ndarray, kernel: Kernel, cfg: OracleConfig,
 def _curve_mc_1d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     r = kernel.support_radius
     height = kernel.height
+    # a spline writes its values over its points
+    evaluate = (lambda t: func(t, out=t)) if isinstance(func, Spline1D) else func
 
     def integrand(u, x):
+        # overwrites u and x; the values land in x
         y = x - u
         ok = (y > 0.0) & (y < 1.0) & (u != 0.0)
-        uu = np.where(ok, np.abs(u), 1.0)
-        return np.where(ok, height * np.abs(func(x) - func(np.clip(y, 0.0, 1.0)))
-                        ** cfg.p / uu ** cfg.p, 0.0)
+        np.clip(y, 0.0, 1.0, out=y)
+        vals = np.subtract(evaluate(x), evaluate(y), out=x)
+        np.abs(vals, out=vals)
+        vals **= cfg.p
+        vals *= height
+        np.abs(u, out=u)
+        u[~ok] = 1.0
+        u **= cfg.p
+        vals /= u
+        vals[~ok] = 0.0
+        return vals
 
     axes = [np.linspace(-r, r, _STRATA_1D + 1), (0, 1)]
     # at least 1,000 samples in each of the u strata
     value, stderr = _stratified_mc(integrand, axes, max(_STRATA_1D * 1000, cfg.samples),
-                                   _stream(cfg.seed, 0))
+                                   (cfg.seed, 0))
     return EvalReport(value, stderr, 0.0)
 
 
-def _kernel_values_2d(kernel: Kernel, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """``kernel_eval`` at the points (u1, u2), with its comparisons: the
-    Euclidean norm against r for ``disc`` and the sup-norm for ``square``."""
+def _kernel_outside_2d(kernel: Kernel, u1: np.ndarray, u2: np.ndarray,
+                       norm: np.ndarray) -> np.ndarray:
+    """Where ``kernel_eval`` vanishes at the points (u1, u2), with its
+    comparisons: the Euclidean norm ``norm`` = sqrt(u1^2 + u2^2) against r
+    for ``disc`` and the sup-norm for ``square``. No temporary float array."""
     r = kernel.support_radius
     if kernel.kind is KernelKind.SQUARE2D:
-        inside = np.maximum(np.abs(u1), np.abs(u2)) <= r
-    else:
-        inside = np.sqrt(u1 * u1 + u2 * u2) <= r
-    return np.where(inside, kernel.height, 0.0)
+        return (u1 > r) | (u1 < -r) | (u2 > r) | (u2 < -r)
+    return norm > r
 
 
 def _callable_mc_2d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     r = kernel.support_radius
 
     def integrand(x1, x2, u1, u2):
-        y1, y2 = x1 - u1, x2 - u2
+        # overwrites all four; the values land in x2
+        norm = u1 * u1
+        norm += u2 * u2
+        np.sqrt(norm, out=norm)
+        outside = _kernel_outside_2d(kernel, u1, u2, norm)
+        y1 = np.subtract(x1, u1, out=u1)
+        y2 = np.subtract(x2, u2, out=u2)
         ok = (y1 > 0) & (y1 < 1) & (y2 > 0) & (y2 < 1)
-        norm = np.sqrt(u1 * u1 + u2 * u2)
         ok &= norm > 0
-        phi = _kernel_values_2d(kernel, u1, u2)
         fx = func(x1, x2)
-        fy = func(np.clip(y1, 0, 1), np.clip(y2, 0, 1))
-        safe = np.where(ok, norm, 1.0)
-        return np.where(ok, phi * np.abs(fx - fy) ** cfg.p / safe ** cfg.p, 0.0)
+        fy = func(np.clip(y1, 0, 1, out=y1), np.clip(y2, 0, 1, out=y2))
+        vals = np.subtract(fx, fy, out=x2)
+        np.abs(vals, out=vals)
+        vals **= cfg.p
+        # phi * vals, phi being the kernel height inside and 0 outside
+        np.multiply(vals, 0.0, out=vals, where=outside)
+        np.multiply(vals, kernel.height, out=vals, where=~outside)
+        norm[~ok] = 1.0
+        norm **= cfg.p
+        vals /= norm
+        vals[~ok] = 0.0
+        return vals
 
     value, stderr = _stratified_mc(integrand, [(0, 1), (0, 1), (-r, r), (-r, r)],
-                                   cfg.samples, _stream(cfg.seed, 0))
+                                   cfg.samples, (cfg.seed, 0))
     return EvalReport(value, stderr, 0.0)
 
 
@@ -499,6 +582,11 @@ def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     ``f`` may be a :class:`PiecewiseConstant1D`, :class:`Spline1D`,
     :class:`Image2D`, or a vectorized callable on Omega (one positional array
     argument in 1D, two in 2D). The kernel dimension must match the input.
+
+    With ``method="mc"`` the strata run on up to one thread per available
+    CPU, and the report does not depend on the thread count. A callable
+    ``f`` may then be called from several threads at once, on arrays that it
+    must not keep: the sampler overwrites them afterwards.
     """
     if isinstance(f, PiecewiseConstant1D):
         if kernel.dim != 1:

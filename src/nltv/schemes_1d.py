@@ -11,7 +11,7 @@ Three element families on the unit interval, each with its matched kernel:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -62,18 +62,27 @@ class Spline1D:
     """Node values a_0..a_n of the linear spline interpolating (k/n, a_k)."""
 
     nodes: np.ndarray
+    # the uniform grid k/n and the slope of every interval, set once
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
+    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_finite_vector(self.nodes, "nodes")
         if arr.size < 2:
             raise ValueError("need at least two nodes")
-        object.__setattr__(self, "nodes", arr)
+        # a private read-only copy, so the cached slopes cannot go stale
+        arr = arr.copy()
+        grid = np.linspace(0.0, 1.0, arr.size)
+        slopes = np.diff(arr) / np.diff(grid)
+        for name, value in (("nodes", arr), ("_grid", grid), ("_slopes", slopes)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.nodes.size - 1
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x, out=None) -> np.ndarray:
         """Evaluate the interpolant at points of [0, 1]; points outside it are
         clamped to the end node values.
 
@@ -86,16 +95,25 @@ class Spline1D:
         ``np.interp`` itself; for every other point the rounding errors of
         ``x * n`` and of the grid are far below the margin, so its interval
         is the one the binary search finds.
+
+        ``out``, if given, is a C-contiguous float array of the shape of
+        ``x`` that receives the values and is returned; it may be ``x``.
         """
         x = np.asarray(x, dtype=float)
+        if out is not None and (out.shape != x.shape or out.dtype != float
+                                or not out.flags.c_contiguous):
+            raise ValueError("out must be a C-contiguous float array shaped like x")
         n = self.n
-        grid = np.linspace(0.0, 1.0, n + 1)
+        grid, nodes, slopes = self._grid, self.nodes, self._slopes
         if x.size <= _INTERP_DIRECT_MAX or n > _INTERP_MAX_BINS:
-            return np.interp(x, grid, self.nodes)
-        nodes = self.nodes
-        slopes = np.diff(nodes) / np.diff(grid)
+            if out is None:
+                return np.interp(x, grid, nodes)
+            out[...] = np.interp(x, grid, nodes)
+            return out
         flat = x.reshape(-1)
-        out = np.empty(flat.size)
+        if out is None:
+            out = np.empty(x.shape)
+        flat_out = out.reshape(-1)
         size = min(_INTERP_BLOCK, flat.size)
         frac = np.empty(size)
         work = np.empty(size)
@@ -104,7 +122,7 @@ class Spline1D:
         with np.errstate(all="ignore"):
             for lo in range(0, flat.size, _INTERP_BLOCK):
                 xb = flat[lo:lo + _INTERP_BLOCK]
-                ob = out[lo:lo + _INTERP_BLOCK]
+                ob = flat_out[lo:lo + _INTERP_BLOCK]
                 k = xb.size
                 fb, wb, jb = frac[:k], work[:k], bins[:k]
                 np.multiply(xb, n, out=fb)
@@ -113,12 +131,14 @@ class Spline1D:
                 jb[...] = wb
                 np.subtract(fb, jb, out=fb)
                 slow = (fb <= _BIN_MARGIN) | (fb >= 1.0 - _BIN_MARGIN)
+                # ob may be xb itself, so the slow points are copied first
+                x_slow = xb[slow] if slow.any() else None
                 np.subtract(xb, np.take(grid, jb, out=wb), out=wb)
                 np.multiply(np.take(slopes, jb), wb, out=ob)
                 ob += np.take(nodes, jb)
-                if slow.any():
-                    ob[slow] = np.interp(xb[slow], grid, nodes)
-        return out.reshape(x.shape)
+                if x_slow is not None:
+                    ob[slow] = np.interp(x_slow, grid, nodes)
+        return out
 
 
 @dataclass(frozen=True)

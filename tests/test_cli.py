@@ -236,6 +236,28 @@ def test_p2_pixel_out_of_range_is_an_input_error(tmp_path, capsys, pixel):
     assert f"byte {text.index(pixel)}: bad pixel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pixels", ["+5 1_0 0 7", "5 10 0 +7", "5 1_0 0 7"])
+def test_p2_pixel_with_sign_or_underscore_is_an_input_error(tmp_path, capsys, pixels):
+    text = f"P2\n2 2\n255\n{pixels}\n"
+    bad = next(tok for tok in pixels.split() if not tok.isdigit())
+    img = tmp_path / "img.pgm"
+    img.write_text(text)
+    assert main(["eval", "--family", "image", "--input", str(img)]) == 2
+    assert f"byte {text.index(bad)}: bad pixel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, name", [
+    ("+2 2\n255", "width"), ("2 2_0\n255", "height"), ("2 2\n+255", "maxval"),
+    ("2 2\n-255", "maxval"), ("2 " + "9" * 5000 + "\n255", "height"),
+])
+def test_pgm_header_with_sign_or_underscore_is_an_input_error(tmp_path, capsys,
+                                                             header, name):
+    img = tmp_path / "img.pgm"
+    img.write_text(f"P2\n{header}\n0 1 2 3\n")
+    assert main(["eval", "--family", "image", "--input", str(img)]) == 2
+    assert f"bad {name}" in capsys.readouterr().err
+
+
 def test_p2_header_size_is_checked_against_the_pixels(tmp_path, capsys):
     img = tmp_path / "img.pgm"
     img.write_text("P2\n1000000 1000000\n255\n0 1 2 3\n")

@@ -1,4 +1,7 @@
+import itertools
 import math
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +27,7 @@ from nltv.oracle import (
     _factor_2d,
     _gauss_on_panels,
     _gauss_rule,
-    _kernel_values_2d,
+    _kernel_outside_2d,
     _kink_angles,
     _polar_factor,
     _refine,
@@ -203,7 +206,8 @@ def test_kernel_values_2d_match_kernel_eval(kind):
     u2 = np.concatenate([r * np.sin(theta), grid_y.ravel(),
                          rng.uniform(-2 * r, 2 * r, 2000)])
     expected = [kernel_eval(kernel, (a, b)) for a, b in zip(u1, u2)]
-    assert np.array_equal(_kernel_values_2d(kernel, u1, u2), expected)
+    outside = _kernel_outside_2d(kernel, u1, u2, np.sqrt(u1 * u1 + u2 * u2))
+    assert np.array_equal(np.where(outside, 0.0, kernel.height), expected)
     if kind is KernelKind.DISC2D:
         squared = u1 * u1 + u2 * u2 <= r * r
         assert np.any(squared != (np.sqrt(u1 * u1 + u2 * u2) <= r))
@@ -375,23 +379,18 @@ def test_stratified_mc_equals_the_loops_it_replaced(lo, width, nsamples, seed, t
     def f4(x1, x2, u1, u2):
         return np.cos(x1 - u2) + x2 * u1
 
-    def streams():
-        return _stream(seed, task), _stream(seed, task)
-
-    old, new = streams()
-    assert (_hex_pair(_stratified_mc(f1, [np.linspace(a, b, 17)], nsamples, new))
-            == _hex_pair(_old_mc_1d(f1, a, b, nsamples, old, 16)))
-    old, new = streams()
+    key = (seed, task)
+    assert (_hex_pair(_stratified_mc(f1, [np.linspace(a, b, 17)], nsamples, key))
+            == _hex_pair(_old_mc_1d(f1, a, b, nsamples, _stream(*key), 16)))
     assert (_hex_pair(_stratified_mc(f2, [np.linspace(a, b, 5), np.linspace(c, d, 5)],
-                                     nsamples, new))
-            == _hex_pair(_old_mc_4x4(f2, a, b, c, d, nsamples, old)))
+                                     nsamples, key))
+            == _hex_pair(_old_mc_4x4(f2, a, b, c, d, nsamples, _stream(*key))))
     # the one box has volume (2r)*(2r) where the old estimator had (2r)**2;
     # they first differ in the last bit at scale 2947
     r = 1.0 / scale
-    old, new = streams()
     axes = [(0, 1), (0, 1), (-r, r), (-r, r)]
-    assert (_hex_pair(_stratified_mc(f4, axes, nsamples, new))
-            == _hex_pair(_old_mc_one_box(f4, r, nsamples, old)))
+    assert (_hex_pair(_stratified_mc(f4, axes, nsamples, key))
+            == _hex_pair(_old_mc_one_box(f4, r, nsamples, _stream(*key))))
 
 
 # The one-point-at-a-time Gauss code that the array-at-a-time panel rule
@@ -558,3 +557,173 @@ def test_curve_gauss_reports_are_bit_identical_to_the_reference(p):
             ref = _old_curve_gauss_1d(f, knots, kernel, cfg, split_roots)
             assert ((report.value.hex(), report.richardson_delta.hex())
                     == tuple(v.hex() for v in ref))
+
+
+# The sequential sampler that the threaded _stratified_mc replaced, with the
+# out-of-place integrands of the singular 1D factor, the curve sampler and the
+# 2D callable sampler, kept as references: every box drew from one live
+# stream in box order.
+
+
+def _sequential_mc(fn, axes, nsamples, rng):
+    boxes = list(itertools.product(*(zip(e[:-1], e[1:]) for e in axes)))
+    per = max(2, nsamples // len(boxes))
+    total = 0.0
+    var = 0.0
+    for box in boxes:
+        vol = math.prod(hi - lo for lo, hi in box)
+        vals = fn(*(rng.uniform(lo, hi, per) for lo, hi in box))
+        total += vol * float(vals.mean())
+        var += (vol * float(vals.std(ddof=1)) / math.sqrt(per)) ** 2
+    return total, math.sqrt(var)
+
+
+def _old_singular_factor_1d(grid_m, kernel, nsamples, seed, p):
+    h = 1.0 / grid_m
+    hi = min(2 * h, kernel.support_radius)
+    split = h if h < hi else hi
+    q = 2.0 - p
+
+    def integrand(u):
+        uu = np.maximum(u, 1e-300)
+        return 2.0 * kernel.height * np.maximum(h - np.abs(u - h), 0.0) / uu ** p
+
+    def first(v):
+        v = np.maximum(v, 1e-300)
+        u = split * v ** (1.0 / q)
+        return integrand(u) * (split / q) * v ** (1.0 / q - 1.0)
+
+    rng = _stream(seed, 1)
+    v1, e1 = _sequential_mc(first, [np.linspace(0.0, 1.0, 17)], nsamples // 2, rng)
+    v2, e2 = (0.0, 0.0)
+    if split < hi:
+        v2, e2 = _sequential_mc(integrand, [np.linspace(split, hi, 17)],
+                                nsamples // 2, rng)
+    return v1 + v2, math.hypot(e1, e2)
+
+
+def _old_curve_mc_1d(func, kernel, cfg):
+    r = kernel.support_radius
+
+    def integrand(u, x):
+        y = x - u
+        ok = (y > 0.0) & (y < 1.0) & (u != 0.0)
+        uu = np.where(ok, np.abs(u), 1.0)
+        return np.where(ok, kernel.height * np.abs(func(x) - func(np.clip(y, 0.0, 1.0)))
+                        ** cfg.p / uu ** cfg.p, 0.0)
+
+    return _sequential_mc(integrand, [np.linspace(-r, r, 17), (0, 1)],
+                          max(16_000, cfg.samples), _stream(cfg.seed, 0))
+
+
+def _old_callable_mc_2d(func, kernel, cfg):
+    r = kernel.support_radius
+
+    def integrand(x1, x2, u1, u2):
+        y1, y2 = x1 - u1, x2 - u2
+        ok = (y1 > 0) & (y1 < 1) & (y2 > 0) & (y2 < 1)
+        norm = np.sqrt(u1 * u1 + u2 * u2)
+        ok &= norm > 0
+        if kernel.kind is KernelKind.SQUARE2D:
+            inside = np.maximum(np.abs(u1), np.abs(u2)) <= r
+        else:
+            inside = np.sqrt(u1 * u1 + u2 * u2) <= r
+        phi = np.where(inside, kernel.height, 0.0)
+        fx = func(x1, x2)
+        fy = func(np.clip(y1, 0, 1), np.clip(y2, 0, 1))
+        safe = np.where(ok, norm, 1.0)
+        return np.where(ok, phi * np.abs(fx - fy) ** cfg.p / safe ** cfg.p, 0.0)
+
+    return _sequential_mc(integrand, [(0, 1), (0, 1), (-r, r), (-r, r)], cfg.samples,
+                          _stream(cfg.seed, 0))
+
+
+@pytest.fixture(params=[1, 2, 4], ids=lambda c: f"{c}cpu")
+def cpus(request, monkeypatch):
+    """The number of CPUs the sampler sees, and so its thread count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+def _in_place(fn):
+    # an integrand that overwrites the arrays handed to it
+    def wrapped(*arrays):
+        arrays[0][...] = fn(*arrays)
+        for arr in arrays[1:]:
+            arr[...] = np.nan
+        return arrays[0]
+
+    return wrapped
+
+
+@pytest.mark.parametrize("axes, nsamples, start", [
+    # one axis: 16 boxes of 7 draws, so no box starts on a Philox block
+    ([np.linspace(-0.3, 0.9, 17)], 16 * 7 + 3, 0),
+    ([np.linspace(-0.3, 0.9, 17)], 16 * 7, 5),
+    # two axes: 16 boxes of 2 x 9 draws
+    ([np.linspace(0.0, 0.5, 5), np.linspace(-1.0, 2.0, 5)], 16 * 9, 3),
+    # four axes: 4 boxes of 4 x 5 draws, and the one-box 2D callable layout
+    ([np.linspace(0.0, 1.0, 3), (0, 1), np.linspace(-0.1, 0.1, 3), (-0.1, 0.1)], 21, 2),
+    ([(0, 1), (0, 1), (-0.25, 0.25), (-0.25, 0.25)], 1001, 0),
+])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_threaded_sampler_is_bit_identical_to_the_sequential_loop(cpus, axes, nsamples,
+                                                                  start, in_place):
+    def fn(*arrays):
+        return np.cos(sum(k * a for k, a in enumerate(arrays, start=1)))
+
+    if in_place:
+        fn = _in_place(fn)
+    for seed, task in [(0, 0), (7, 1024 * 2 + 1), (2 ** 63, 5)]:
+        ref = _stream(seed, task)
+        ref.uniform(size=start)
+        assert (_hex_pair(_stratified_mc(fn, axes, nsamples, (seed, task), start))
+                == _hex_pair(_sequential_mc(fn, axes, nsamples, ref)))
+
+
+@pytest.mark.parametrize("p", [1.5, 1.8])
+def test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p):
+    # the second piece draws from where the first one ended; 2 * 16 * per is
+    # a multiple of 4 only for even per
+    for nsamples in (50_000, 32 * 3, 32 * 1001):
+        for grid_m, kscale in [(8, 4), (8, 16)]:
+            kernel = Kernel(KernelKind.BOX1D, kscale)
+            got = _factor_1d.__wrapped__(1, grid_m, kernel.kind, kernel.n, "mc", 8,
+                                         nsamples, 3, p)
+            assert (_hex_pair(got)
+                    == _hex_pair(_old_singular_factor_1d(grid_m, kernel, nsamples, 3, p)))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_mc_callables_are_bit_identical_to_the_sequential_loop(cpus, p):
+    kernel_1d = Kernel(KernelKind.BOX1D, 4)
+    cfg = OracleConfig(method="mc", samples=16 * 2501, seed=6, p=p)
+    spline = Spline1D(np.random.default_rng(1).uniform(0.0, 1.0, 9))
+    for func in (lambda x: x, lambda x: 0.5, lambda x: float(x.max()),
+                 lambda x: np.sin(3 * x), spline):
+        report = oracle_eval(func, kernel_1d, cfg)
+        ref = _old_curve_mc_1d(func, kernel_1d, cfg)
+        assert _hex_pair((report.value, report.stderr_estimate)) == _hex_pair(ref)
+    cfg = replace(cfg, samples=30_001)
+    for kernel in (Kernel(KernelKind.DISC2D, 4), Kernel(KernelKind.SQUARE2D, 8)):
+        for func in (lambda x, y: x, lambda x, y: y, lambda x, y: 0.25,
+                     lambda x, y: np.sin(3 * x) + y * y):
+            report = oracle_eval(func, kernel, cfg)
+            ref = _old_callable_mc_2d(func, kernel, cfg)
+            assert _hex_pair((report.value, report.stderr_estimate)) == _hex_pair(ref)
+
+
+def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
+    # two threads, each holding the draws u and x, the shifted points and a
+    # mask; out-of-place integrands held about 8.7 arrays per thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129))
+    cfg = OracleConfig(method="mc", samples=16 * 250_000, seed=1)
+    per_box = cfg.samples // 16
+    tracemalloc.start()
+    try:
+        oracle_eval(spline, Kernel(KernelKind.BOX1D, 128), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 * per_box * 8

@@ -151,6 +151,27 @@ def test_spline_callable_interface():
     f = Spline1D([0.0, 1.0, 0.0])
     xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     assert np.allclose(f(xs), [0.0, 0.5, 1.0, 0.5, 0.0])
+    with pytest.raises(ValueError, match="out"):
+        f(xs, out=np.empty(4))
+    with pytest.raises(ValueError, match="out"):
+        f(xs, out=np.empty(10)[::2])
+
+
+def test_spline_grid_and_slopes_are_built_once(monkeypatch):
+    nodes = np.random.default_rng(3).uniform(0.0, 1.0, 65)
+    f = Spline1D(nodes)
+    nodes[:] = 0.0  # the spline keeps its own read-only copy
+    assert not f.nodes.flags.writeable and f.nodes.any()
+    points = np.random.default_rng(4).uniform(-0.1, 1.1, 3 * _BLOCK)
+    expected = np.interp(points, np.linspace(0.0, 1.0, 65), f.nodes)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("the grid or the slopes were rebuilt")
+
+    monkeypatch.setattr(np, "linspace", no_rebuild)
+    monkeypatch.setattr(np, "diff", no_rebuild)
+    assert np.array_equal(f(points), expected)
+    assert np.array_equal(f(points[:10]), expected[:10])
 
 
 _DIRECT = schemes_1d._INTERP_DIRECT_MAX
@@ -194,6 +215,16 @@ def test_spline_call_equals_np_interp(case):
     shaped = points[:2 * half].reshape(2, half)
     assert f(shaped).shape == shaped.shape
     assert np.array_equal(f(shaped), np.interp(shaped, grid, nodes), equal_nan=True)
+    # into a separate buffer and into the input itself, in calls of `size`
+    into = np.full_like(points, 7.0)
+    aliased = points.copy()
+    for i in range(0, points.size, size):
+        window = into[i:i + size]
+        assert f(points[i:i + size], out=window) is window
+        chunk = aliased[i:i + size]
+        assert f(chunk, out=chunk) is chunk
+    assert np.array_equal(into, expected, equal_nan=True)
+    assert np.array_equal(aliased, expected, equal_nan=True)
     for v in points[:3]:
         got_scalar = f(float(v))
         assert np.shape(got_scalar) == ()
