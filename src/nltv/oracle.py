@@ -14,10 +14,10 @@ Two methods are available:
   for splines and callbacks a band |x - y| < delta is excluded and the value
   extrapolated linearly in delta.
 * ``mc``: stratified Monte Carlo through one sampler, ``_stratified_mc``,
-  with one counter-based stream per task derived from (seed, task id). Each
-  stratum jumps to its own draws of that stream, so the strata run on up to
-  one thread per available CPU and the results are the same bit for bit
-  whatever the thread count.
+  with one counter-based stream per task derived from (seed, task id). A
+  run of strata can jump to its own draws of that stream, so large budgets
+  run on up to one thread per available CPU and the results are the same
+  bit for bit whatever the thread count.
 
 Geometric factors depend only on the relative cell offset and are cached.
 """
@@ -42,6 +42,10 @@ MONTE_CARLO = "mc"
 
 _MIN_MC_SAMPLES = 10_000
 _STRATA_1D = 16
+# raw draws per box from which the boxes are spread over threads: on a 2-CPU
+# host, two threads broke even with one near 32,000 draws per box for the 1D
+# and 2D pair factors and the spline curve, and were slower below that
+_THREAD_DRAWS = 32_768
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,17 @@ def _per_box(nsamples: int, boxes: int) -> int:
     return max(2, nsamples // boxes)
 
 
+def _threads(boxes: int, draws: int) -> int:
+    """Threads for ``boxes`` boxes of ``draws`` raw draws each: one below
+    ``_THREAD_DRAWS`` draws per box, else one per available CPU, up to one
+    per box."""
+    if draws < _THREAD_DRAWS:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, boxes)
+
+
 def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
     """Stratified uniform MC of a vectorized integrand of len(axes) variables.
 
@@ -146,33 +161,38 @@ def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
     ``key`` = (seed, task) starting at raw draw ``start``, and calls ``fn``
     on the draws. ``fn`` owns those arrays and may overwrite them.
 
-    Every box starts its own copy of the stream at its first draw, so the
-    boxes run on up to one thread per available CPU, and ``fn`` may be
-    called from several threads at once. The per-box means and deviations
-    are added in box order, so the result does not depend on the thread
-    count. Returns the estimate and its standard error.
+    The boxes are cut into one contiguous run per thread, and each run
+    starts its own copy of the stream at its first draw. Budgets of at
+    least ``_THREAD_DRAWS`` raw draws per box run on up to one thread per
+    available CPU, so ``fn`` may be called from several threads at once;
+    smaller ones run on one. The per-box means and deviations are added in
+    box order, so the result does not depend on the thread count. Returns
+    the estimate and its standard error.
     """
     boxes = list(itertools.product(*(zip(e[:-1], e[1:]) for e in axes)))
     per = _per_box(nsamples, len(boxes))
+    draws = len(axes) * per
 
-    def box_moments(index):
-        rng = _stream(*key, start + index * len(axes) * per)
-        vals = fn(*(rng.uniform(lo, hi, per) for lo, hi in boxes[index]))
-        return float(vals.mean()), float(vals.std(ddof=1))
+    def run(first, last):
+        rng = _stream(*key, start + first * draws)
+        moments = []
+        for box in boxes[first:last]:
+            vals = fn(*(rng.uniform(lo, hi, per) for lo, hi in box))
+            moments.append((float(vals.mean()), float(vals.std(ddof=1))))
+        return moments
 
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    threads = min(cpus, len(boxes))
-    if threads > 1:
+    threads = _threads(len(boxes), draws)
+    if threads == 1:
+        runs = [run(0, len(boxes))]
+    else:
         from concurrent.futures import ThreadPoolExecutor
 
+        cuts = [len(boxes) * k // threads for k in range(threads + 1)]
         with ThreadPoolExecutor(threads) as pool:
-            moments = list(pool.map(box_moments, range(len(boxes))))
-    else:
-        moments = [box_moments(index) for index in range(len(boxes))]
+            runs = list(pool.map(run, cuts[:-1], cuts[1:]))
     total = 0.0
     var = 0.0
-    for box, (mean, std) in zip(boxes, moments):
+    for box, (mean, std) in zip(boxes, itertools.chain.from_iterable(runs)):
         vol = math.prod(hi - lo for lo, hi in box)
         total += vol * mean
         var += (vol * std / math.sqrt(per)) ** 2
@@ -583,10 +603,10 @@ def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     :class:`Image2D`, or a vectorized callable on Omega (one positional array
     argument in 1D, two in 2D). The kernel dimension must match the input.
 
-    With ``method="mc"`` the strata run on up to one thread per available
-    CPU, and the report does not depend on the thread count. A callable
-    ``f`` may then be called from several threads at once, on arrays that it
-    must not keep: the sampler overwrites them afterwards.
+    With ``method="mc"`` the strata of large budgets run on up to one thread
+    per available CPU, and the report does not depend on the thread count.
+    A callable ``f`` may then be called from several threads at once, on
+    arrays that it must not keep: the sampler overwrites them afterwards.
     """
     if isinstance(f, PiecewiseConstant1D):
         if kernel.dim != 1:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from nltv import (
     oracle_eval,
     stencil_weights,
 )
+from nltv import oracle
 from nltv.oracle import (
     _curve_breaks,
     _factor_1d,
@@ -34,6 +36,7 @@ from nltv.oracle import (
     _stratified_mc,
     _stream,
     _tent,
+    _threads,
     geometric_factor_1d,
     geometric_factor_2d,
     oracle_terms,
@@ -640,8 +643,10 @@ def _old_callable_mc_2d(func, kernel, cfg):
 
 @pytest.fixture(params=[1, 2, 4], ids=lambda c: f"{c}cpu")
 def cpus(request, monkeypatch):
-    """The number of CPUs the sampler sees, and so its thread count."""
+    """The number of CPUs the sampler sees, and so its thread count: every
+    budget is spread over threads, however small its boxes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    monkeypatch.setattr(oracle, "_THREAD_DRAWS", 0)
     return request.param
 
 
@@ -660,6 +665,8 @@ def _in_place(fn):
     # one axis: 16 boxes of 7 draws, so no box starts on a Philox block
     ([np.linspace(-0.3, 0.9, 17)], 16 * 7 + 3, 0),
     ([np.linspace(-0.3, 0.9, 17)], 16 * 7, 5),
+    # three boxes, which no thread count here splits evenly
+    ([np.linspace(0.1, 0.7, 4)], 3 * 5 + 1, 1),
     # two axes: 16 boxes of 2 x 9 draws
     ([np.linspace(0.0, 0.5, 5), np.linspace(-1.0, 2.0, 5)], 16 * 9, 3),
     # four axes: 4 boxes of 4 x 5 draws, and the one-box 2D callable layout
@@ -711,6 +718,28 @@ def test_mc_callables_are_bit_identical_to_the_sequential_loop(cpus, p):
             report = oracle_eval(func, kernel, cfg)
             ref = _old_callable_mc_2d(func, kernel, cfg)
             assert _hex_pair((report.value, report.stderr_estimate)) == _hex_pair(ref)
+
+
+def test_small_budgets_run_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert _threads(16, oracle._THREAD_DRAWS - 1) == 1
+    assert _threads(16, oracle._THREAD_DRAWS) == 4
+    assert _threads(3, oracle._THREAD_DRAWS) == 3
+    callers = set()
+
+    def func(x):
+        callers.add(threading.get_ident())
+        return np.sin(3.0 * x)
+
+    # the curve sampler draws 16 boxes of 2 x samples / 16: the default budget,
+    # the last budget below the threshold and the first one at it
+    main = threading.get_ident()
+    for samples, on_main in [(OracleConfig().samples, True),
+                             (8 * oracle._THREAD_DRAWS - 16, True),
+                             (8 * oracle._THREAD_DRAWS, False)]:
+        callers.clear()
+        oracle_eval(func, BOX, OracleConfig(method="mc", samples=samples, seed=1))
+        assert (callers == {main}) if on_main else (main not in callers)
 
 
 def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
