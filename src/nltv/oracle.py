@@ -173,13 +173,14 @@ def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
     per = _per_box(nsamples, len(boxes))
     draws = len(axes) * per
 
+    def moments(vals):
+        return float(vals.mean()), float(vals.std(ddof=1))
+
     def run(first, last):
+        # no box's arrays outlive its moments
         rng = _stream(*key, start + first * draws)
-        moments = []
-        for box in boxes[first:last]:
-            vals = fn(*(rng.uniform(lo, hi, per) for lo, hi in box))
-            moments.append((float(vals.mean()), float(vals.std(ddof=1))))
-        return moments
+        return [moments(fn(*(rng.uniform(lo, hi, per) for lo, hi in box)))
+                for box in boxes[first:last]]
 
     threads = _threads(len(boxes), draws)
     if threads == 1:

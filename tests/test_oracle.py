@@ -744,7 +744,8 @@ def test_small_budgets_run_on_the_calling_thread(monkeypatch):
 
 def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
     # two threads, each holding the draws u and x, the shifted points and a
-    # mask; out-of-place integrands held about 8.7 arrays per thread
+    # mask (3.8 arrays seen); out-of-place integrands held about 8.7 arrays
+    # per thread, and a box's values kept alive into the next box 4.8
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129))
     cfg = OracleConfig(method="mc", samples=16 * 250_000, seed=1)
@@ -755,4 +756,4 @@ def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 2 * per_box * 8
+    assert peak <= 4.25 * 2 * per_box * 8
