@@ -17,7 +17,9 @@ Two methods are available:
   with one counter-based stream per task derived from (seed, task id). A
   run of strata can jump to its own draws of that stream, so large budgets
   run on up to one thread per available CPU and the results are the same
-  bit for bit whatever the thread count.
+  bit for bit whatever the thread count. Each stratum is drawn and
+  evaluated in chunks of at most 32,768 points, so integrands must act
+  element-wise, and each thread holds one values array per stratum budget.
 
 Geometric factors depend only on the relative cell offset and are cached.
 """
@@ -46,6 +48,8 @@ _STRATA_1D = 16
 # host, two threads broke even with one near 32,000 draws per box for the 1D
 # and 2D pair factors and the spline curve, and were slower below that
 _THREAD_DRAWS = 32_768
+# points per axis handed to an MC integrand at once, as in Spline1D's blocks
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -152,35 +156,51 @@ def _threads(boxes: int, draws: int) -> int:
     return min(cpus, boxes)
 
 
+def _moments(vals: np.ndarray):
+    """vals.mean() and vals.std(ddof=1) bit for bit, in place: overwrites vals."""
+    mean = float(vals.mean())
+    vals -= mean
+    vals *= vals
+    return mean, math.sqrt(vals.sum() / (vals.size - 1))
+
+
 def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
     """Stratified uniform MC of a vectorized integrand of len(axes) variables.
 
     ``axes`` holds one edge list per axis; the strata are the boxes of their
     product grid, first axis outermost. In box order, each box takes its
     share of the budget once per axis, in axis order, from the stream of
-    ``key`` = (seed, task) starting at raw draw ``start``, and calls ``fn``
-    on the draws. ``fn`` owns those arrays and may overwrite them.
+    ``key`` = (seed, task) starting at raw draw ``start``. ``fn`` is called
+    on chunks of at most ``_CHUNK`` of those points, so it must act
+    element-wise; it owns the arrays and may overwrite them. Its values fill
+    one array of a box's budget per thread, reused for every box.
 
-    The boxes are cut into one contiguous run per thread, and each run
-    starts its own copy of the stream at its first draw. Budgets of at
-    least ``_THREAD_DRAWS`` raw draws per box run on up to one thread per
-    available CPU, so ``fn`` may be called from several threads at once;
-    smaller ones run on one. The per-box means and deviations are added in
-    box order, so the result does not depend on the thread count. Returns
-    the estimate and its standard error.
+    The boxes are cut into one contiguous run per thread, and each run, or
+    each axis of a box of several chunks, starts its own copy of the stream
+    at its first draw. Budgets of at least ``_THREAD_DRAWS`` raw draws per
+    box run on up to one thread per available CPU, so ``fn`` may be called
+    from several threads at once; smaller ones run on one. The box moments
+    are added in box order, so neither the thread count nor the chunk size
+    changes the result. Returns the estimate and its standard error.
     """
     boxes = list(itertools.product(*(zip(e[:-1], e[1:]) for e in axes)))
     per = _per_box(nsamples, len(boxes))
     draws = len(axes) * per
 
-    def moments(vals):
-        return float(vals.mean()), float(vals.std(ddof=1))
-
     def run(first, last):
-        # no box's arrays outlive its moments
-        rng = _stream(*key, start + first * draws)
-        return [moments(fn(*(rng.uniform(lo, hi, per) for lo, hi in box)))
-                for box in boxes[first:last]]
+        vals = np.empty(per)
+        moments = []
+        # boxes of one chunk draw their axes one after another from one stream
+        rngs = [_stream(*key, start + first * draws)] * len(axes)
+        for b in range(first, last):
+            if per > _CHUNK:
+                rngs = [_stream(*key, start + b * draws + a * per)
+                        for a in range(len(axes))]
+            for i in range(0, per, _CHUNK):
+                vals[i:i + _CHUNK] = fn(*(rng.uniform(lo, hi, min(_CHUNK, per - i))
+                                          for rng, (lo, hi) in zip(rngs, boxes[b])))
+            moments.append(_moments(vals))
+        return moments
 
     threads = _threads(len(boxes), draws)
     if threads == 1:
@@ -606,8 +626,8 @@ def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
 
     With ``method="mc"`` the strata of large budgets run on up to one thread
     per available CPU, and the report does not depend on the thread count.
-    A callable ``f`` may then be called from several threads at once, on
-    arrays that it must not keep: the sampler overwrites them afterwards.
+    A callable ``f`` gets chunks of at most 32,768 points, maybe on several
+    threads at once: it must act element-wise and keep none of its arrays.
     """
     if isinstance(f, PiecewiseConstant1D):
         if kernel.dim != 1:

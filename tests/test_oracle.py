@@ -31,6 +31,7 @@ from nltv.oracle import (
     _gauss_rule,
     _kernel_outside_2d,
     _kink_angles,
+    _moments,
     _polar_factor,
     _refine,
     _stratified_mc,
@@ -701,13 +702,14 @@ def test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p
                     == _hex_pair(_old_singular_factor_1d(grid_m, kernel, nsamples, 3, p)))
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5])
-def test_mc_callables_are_bit_identical_to_the_sequential_loop(cpus, p):
+_CURVES = (lambda x: x, lambda x: 0.5, lambda x: np.sin(3 * x),
+           Spline1D(np.random.default_rng(1).uniform(0.0, 1.0, 9)))
+
+
+def _assert_mc_callables_match_the_sequential_loop(p, curves):
     kernel_1d = Kernel(KernelKind.BOX1D, 4)
     cfg = OracleConfig(method="mc", samples=16 * 2501, seed=6, p=p)
-    spline = Spline1D(np.random.default_rng(1).uniform(0.0, 1.0, 9))
-    for func in (lambda x: x, lambda x: 0.5, lambda x: float(x.max()),
-                 lambda x: np.sin(3 * x), spline):
+    for func in curves:
         report = oracle_eval(func, kernel_1d, cfg)
         ref = _old_curve_mc_1d(func, kernel_1d, cfg)
         assert _hex_pair((report.value, report.stderr_estimate)) == _hex_pair(ref)
@@ -718,6 +720,14 @@ def test_mc_callables_are_bit_identical_to_the_sequential_loop(cpus, p):
             report = oracle_eval(func, kernel, cfg)
             ref = _old_callable_mc_2d(func, kernel, cfg)
             assert _hex_pair((report.value, report.stderr_estimate)) == _hex_pair(ref)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_mc_callables_are_bit_identical_to_the_sequential_loop(cpus, p):
+    # each box is one chunk here, so even a callable that is not element-wise
+    # (a Python scalar of the whole box) sees the same arrays
+    _assert_mc_callables_match_the_sequential_loop(
+        p, (*_CURVES, lambda x: float(x.max())))
 
 
 def test_small_budgets_run_on_the_calling_thread(monkeypatch):
@@ -742,10 +752,68 @@ def test_small_budgets_run_on_the_calling_thread(monkeypatch):
         assert (callers == {main}) if on_main else (main not in callers)
 
 
+@pytest.mark.parametrize("per", [5, 8, 9, 21], ids=lambda n: f"per{n}")
+@pytest.mark.parametrize("axes", [
+    # three boxes, four boxes and two boxes
+    [np.linspace(-0.3, 0.9, 4)],
+    [np.linspace(0.0, 0.5, 3), np.linspace(-1.0, 2.0, 3)],
+    [np.linspace(0.0, 1.0, 3), (0, 1), (-0.1, 0.1), (-0.1, 0.1)],
+], ids=["1axis", "2axes", "4axes"])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_chunked_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypatch, axes,
+                                                                 per, in_place):
+    # chunks of 8 points: a box below, at, one past and between multiples of
+    # the chunk, whose axes then draw from streams started mid Philox block
+    monkeypatch.setattr(oracle, "_CHUNK", 8)
+
+    def fn(*arrays):
+        return np.cos(sum(k * a for k, a in enumerate(arrays, start=1)))
+
+    if in_place:
+        fn = _in_place(fn)
+    boxes = math.prod(len(e) - 1 for e in axes)
+    for seed, task, start in [(0, 0, 0), (7, 1024 * 2 + 1, 5), (2 ** 63, 5, 3)]:
+        ref = _stream(seed, task)
+        ref.uniform(size=start)
+        assert (_hex_pair(_stratified_mc(fn, axes, boxes * per + 1, (seed, task), start))
+                == _hex_pair(_sequential_mc(fn, axes, boxes * per + 1, ref)))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_chunked_factors_and_callables_are_bit_identical_to_the_sequential_loop(
+        cpus, monkeypatch, p):
+    # chunks of 1,000 points cut the singular factor's boxes of 3, 1,001 and
+    # 1,562 points, the curves' boxes of 2,501 and the 2D callables' one box
+    # of 30,001
+    monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    if p > 1.0:
+        test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p)
+    _assert_mc_callables_match_the_sequential_loop(p, _CURVES)
+
+
+@st.composite
+def _sampled_values(draw):
+    # large or awkward lengths, sign-mixed and zero-heavy
+    size = draw(st.sampled_from([2, 3, 127, 128, 129]) | st.integers(2, 70_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = rng.normal(draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e6)), size)
+    vals[rng.uniform(size=size) < draw(st.floats(0.0, 1.0))] = 0.0
+    return vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=_sampled_values() | st.lists(st.just(0.0) | st.floats(-1e100, 1e100),
+                                         min_size=2, max_size=200).map(np.array))
+def test_in_place_moments_equal_mean_and_std(vals):
+    # a numpy release that changes how std sums its squares fails here
+    want = (float(vals.mean()), float(vals.std(ddof=1)))
+    assert _hex_pair(_moments(vals.copy())) == _hex_pair(want)
+
+
 def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
-    # two threads, each holding the draws u and x, the shifted points and a
-    # mask (3.8 arrays seen); out-of-place integrands held about 8.7 arrays
-    # per thread, and a box's values kept alive into the next box 4.8
+    # two threads, each holding one values array of a box and chunk-sized
+    # draws and temporaries (2.1 arrays seen); box-sized draws held 3.8
+    # arrays per thread, and out-of-place integrands on them 8.7
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129))
     cfg = OracleConfig(method="mc", samples=16 * 250_000, seed=1)
@@ -756,4 +824,18 @@ def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.25 * 2 * per_box * 8
+    assert peak <= 2.5 * 2 * per_box * 8
+
+
+def test_callable_2d_mc_peak_memory_is_about_one_values_array():
+    # the 2D callable sampler's one box: one values array of 4e6 points and
+    # chunk-sized draws (1.07 arrays seen); box-sized draws held 8.3 arrays
+    cfg = OracleConfig(method="mc", samples=4_000_000, seed=1)
+    tracemalloc.start()
+    try:
+        oracle_eval(lambda x, y: np.sin(3 * x) + y * y, Kernel(KernelKind.SQUARE2D, 8),
+                    cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * cfg.samples * 8
