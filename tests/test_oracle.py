@@ -779,6 +779,18 @@ def test_chunked_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypat
                 == _hex_pair(_sequential_mc(fn, axes, boxes * per + 1, ref)))
 
 
+@pytest.mark.parametrize("per, streams", [(8, 1), (9, 3 * 2)], ids=["per8", "per9"])
+def test_sampler_builds_a_stream_per_run_or_per_axis_of_a_larger_box(monkeypatch, per,
+                                                                      streams):
+    # three boxes of two axes on one thread: boxes of one chunk share the
+    # run's stream, and larger ones build one per axis and no run stream
+    monkeypatch.setattr(oracle, "_CHUNK", 8)
+    built = []
+    monkeypatch.setattr(oracle, "_stream", lambda *args: built.append(args) or _stream(*args))
+    _stratified_mc(lambda x, y: x * y, [np.linspace(0.0, 1.0, 4), (0, 1)], 3 * per, (1, 2))
+    assert len(built) == streams
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5])
 def test_chunked_factors_and_callables_are_bit_identical_to_the_sequential_loop(
         cpus, monkeypatch, p):
