@@ -1,6 +1,6 @@
 """Nonlocal double-integral approximations of TV and Sobolev seminorms."""
 
-from .kernels import Kernel, KernelKind, KpnConstant, kernel_eval, kpn, radial_profile
+from .kernels import Kernel, KernelKind, KpnConstant, kernel_eval, kpn
 from .schemes_1d import (
     HaarIndex,
     PiecewiseConstant1D,
@@ -15,10 +15,7 @@ from .schemes_1d import (
 from .schemes_2d import (
     Image2D,
     StencilWeights,
-    diagonal_overlap_integral,
     eval_image,
-    image_pair_sums,
-    lateral_overlap_integral,
     stencil_weights,
 )
 from .stencil import Stencil
@@ -38,12 +35,11 @@ from .minimize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Kernel", "KernelKind", "KpnConstant", "kernel_eval", "kpn", "radial_profile",
+    "Kernel", "KernelKind", "KpnConstant", "kernel_eval", "kpn",
     "PiecewiseConstant1D", "Spline1D", "HaarIndex", "eval_pc_box",
     "eval_pc_box_wide", "eval_spline", "eval_haar", "haar_branches",
     "haar_function",
     "Image2D", "StencilWeights", "stencil_weights", "eval_image",
-    "image_pair_sums", "lateral_overlap_integral", "diagonal_overlap_integral",
     "Stencil", "OracleConfig", "EvalReport", "oracle_eval", "fit_stencil",
     "EnergyParams", "DataTerm", "SolverConfig", "DenoiseResult", "GammaRow",
     "energy", "denoise", "taut_string_1d", "gamma_experiment",

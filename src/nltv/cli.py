@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -40,7 +41,8 @@ from .schemes_1d import (
 )
 from .schemes_2d import Image2D, eval_image
 
-_KERNELS = {k.value: k for k in KernelKind}
+# a PGM token after any whitespace and comments; empty at the end of the data
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 class UsageError(Exception):
@@ -102,21 +104,10 @@ def write_signal_csv(path: str, values, header: str | None = None) -> None:
 
 
 def _pgm_tokens(data: bytes):
-    pos = 0
-    while pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-            continue
-        end = pos
-        while end < len(data) and not data[end:end + 1].isspace():
-            end += 1
-        yield pos, data[pos:end]
-        pos = end
+    match = _PGM_TOKEN.match(data)
+    while match.group(1):
+        yield match.start(1), match.group(1)
+        match = _PGM_TOKEN.match(data, match.end())
     while True:
         yield len(data), None
 
@@ -274,8 +265,8 @@ def build_parser() -> _Parser:
     p_den.add_argument("--input", required=True, help="CSV signal or PGM image")
     p_den.add_argument("--alpha", type=float, required=True)
     p_den.add_argument("--p", type=float, default=1.0)
-    p_den.add_argument("--kernel", choices=list(_KERNELS), help="default: box "
-                       "for 1D input, disc for 2D input")
+    p_den.add_argument("--kernel", choices=[k.value for k in KernelKind],
+                       help="default: box for 1D input, disc for 2D input")
     p_den.add_argument("--scale", type=int,
                        help="kernel scale (default: matched to the grid)")
     p_den.add_argument("--solver", choices=["pd", "smooth"], default="pd")
@@ -347,7 +338,7 @@ def _cmd_eval(args) -> int:
         value = eval_haar(HaarIndex(k=args.k, j=args.j), args.scale)
     elif args.family == "image":
         arr, _ = read_pgm(args.input)
-        value = eval_image(image_from_pgm(arr), _KERNELS[args.kernel])
+        value = eval_image(image_from_pgm(arr), KernelKind(args.kernel))
     else:
         signal = read_signal_csv(args.input)
         if args.family == "pc":
@@ -383,7 +374,7 @@ def _verify_input(args):
     rng = np.random.default_rng(args.seed)
     if args.family == "image":
         img = Image2D(rng.uniform(0.0, 1.0, (args.n, args.n)))
-        kind = _KERNELS[args.kernel]
+        kind = KernelKind(args.kernel)
         return img, Kernel(kind, args.n), eval_image(img, kind)
     if args.family == "spline":
         spline = Spline1D(rng.uniform(0.0, 1.0, args.n + 1))
@@ -419,7 +410,7 @@ def _cmd_denoise(args) -> int:
     if pgm_out and dim != 2:
         raise UsageError("PGM output requires a 2D input")
     kernel_name = args.kernel or ("box" if dim == 1 else "disc")
-    kind = _KERNELS[kernel_name]
+    kind = KernelKind(kernel_name)
     kernel = Kernel(kind, args.scale if args.scale is not None else values.shape[0])
     if kernel.dim != dim:
         raise UsageError(f"kernel {kernel_name!r} is {kernel.dim}D but the "

@@ -23,11 +23,6 @@ import numpy as np
 
 from .kernels import KernelKind
 
-# ordered-pair geometric integrals for the disc kernel, cells at unit scale;
-# the assembled weights below are (2 n^2 / pi) times these
-_LATERAL_J = 2.0 / 3.0
-_DIAGONAL_J = 1.0 / 6.0
-
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -66,22 +61,6 @@ class StencilWeights:
                 f"lateral={self.lateral!r} diagonal={self.diagonal!r}")
 
 
-def lateral_overlap_integral(n: int) -> float:
-    """Geometric quadruple integral of 1/|x - y| over a laterally adjacent
-    cell pair restricted to the disc of radius 1/n (one orientation)."""
-    if n < 1:
-        raise ValueError("grid size must be at least 1")
-    return _LATERAL_J / float(n) ** 3
-
-
-def diagonal_overlap_integral(n: int) -> float:
-    """Same as :func:`lateral_overlap_integral` for a diagonally adjacent
-    pair."""
-    if n < 1:
-        raise ValueError("grid size must be at least 1")
-    return _DIAGONAL_J / float(n) ** 3
-
-
 def stencil_weights(kind: KernelKind, n: int) -> StencilWeights:
     """Closed-form pair weights for the disc or square kernel matched to an
     n x n grid."""
@@ -99,25 +78,17 @@ def stencil_weights(kind: KernelKind, n: int) -> StencilWeights:
     return StencilWeights(lateral=lateral, diagonal=diagonal)
 
 
-def image_pair_sums(f: Image2D) -> tuple:
-    """(lateral, diagonal) sums of absolute differences over adjacent pairs.
+def eval_image(f: Image2D, kind: KernelKind) -> float:
+    """Nonlocal TV of a piecewise-constant image under the matched disc or
+    square kernel.
 
     Pairs outside the grid contribute nothing; there is no wrap-around or
     reflection at the boundary.
     """
+    w = stencil_weights(kind, f.n)
     a = f.coeffs
     lateral = float(np.abs(a[:, 1:] - a[:, :-1]).sum()
                     + np.abs(a[1:, :] - a[:-1, :]).sum())
     diagonal = float(np.abs(a[1:, 1:] - a[:-1, :-1]).sum()
                      + np.abs(a[:-1, 1:] - a[1:, :-1]).sum())
-    return lateral, diagonal
-
-
-def eval_image(f: Image2D, kind: KernelKind) -> float:
-    """Nonlocal TV of a piecewise-constant image under the matched disc or
-    square kernel."""
-    if f.n < 2:
-        raise ValueError("the 2D scheme needs a grid of size at least 2")
-    w = stencil_weights(kind, f.n)
-    lateral, diagonal = image_pair_sums(f)
     return w.lateral * lateral + w.diagonal * diagonal

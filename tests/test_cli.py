@@ -200,6 +200,41 @@ def test_p2_fast_path_matches_positional_reader(tmp_path, data):
         assert _read_outcome(str(path)) == got
 
 
+def _byte_walk_tokens(data: bytes):
+    """The byte-at-a-time PGM tokenizer that the one-pattern one replaced."""
+    pos = 0
+    while pos < len(data):
+        ch = data[pos:pos + 1]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch == b"#":
+            end = data.find(b"\n", pos)
+            pos = len(data) if end < 0 else end + 1
+            continue
+        end = pos
+        while end < len(data) and not data[end:end + 1].isspace():
+            end += 1
+        yield pos, data[pos:end]
+        pos = end
+    while True:
+        yield len(data), None
+
+
+@settings(max_examples=2000, deadline=None)
+@given(data=st.lists(st.sampled_from([b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"#",
+                                      b"0", b"7", b"-", b"\x1c", b"\xa0", b"\x00"]),
+                     max_size=40).map(b"".join))
+def test_pgm_tokens_match_the_byte_walk(data):
+    got, ref = cli._pgm_tokens(data), _byte_walk_tokens(data)
+    while True:
+        token = next(got)
+        assert token == next(ref)
+        if token[1] is None:
+            assert next(got) == token
+            break
+
+
 def test_p5_roundtrip_quantization_bound(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.uniform(0, 1, (5, 5))
@@ -305,6 +340,14 @@ def test_verify_within_tolerance(capsys):
                  "--samples", "50000", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "closed-form" in out and "oracle" in out
+
+
+@pytest.mark.parametrize("method", ["mc", "gauss"])
+def test_verify_seed_beyond_64_bits_is_a_usage_error(capsys, method):
+    # the Philox key words of the MC streams are 64 bits
+    assert main(["verify", "--family", "pc", "--n", "4", "--method", method,
+                 "--seed", str(2 ** 64)]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_verify_exit_three_when_tolerance_exceeded(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nltv
-from nltv import Kernel, KernelKind, kernel_eval, kpn, radial_profile
+from nltv import Kernel, KernelKind, kernel_eval, kpn
 
 ALL_KINDS = list(KernelKind)
 RADIAL_KINDS = [KernelKind.BOX1D, KernelKind.BOX1D_WIDE, KernelKind.DISC2D]
@@ -91,20 +91,6 @@ def test_radial_rotation_invariance():
             assert kernel_eval(k, (x,)) == kernel_eval(k, (-x,))
 
 
-def test_radial_profile_lookup():
-    k = Kernel(KernelKind.BOX1D_WIDE, 4)
-    assert radial_profile(k, 0.0) == 1.0
-    assert radial_profile(k, 0.5) == 1.0
-    assert radial_profile(k, 0.51) == 0.0
-    with pytest.raises(ValueError):
-        radial_profile(Kernel(KernelKind.SQUARE2D, 2), 0.1)
-
-
-def test_square_kernel_is_flagged_non_radial():
-    assert not Kernel(KernelKind.SQUARE2D, 2).is_radial
-    assert Kernel(KernelKind.DISC2D, 2).is_radial
-
-
 def test_kpn_examples():
     assert kpn(1.0, 1).value == 1.0
     assert abs(kpn(1.0, 2).value - 2.0 / math.pi) < 1e-15
@@ -119,12 +105,31 @@ def test_kpn_general_p_matches_gamma_function_form():
         assert abs(kpn(p, 2).value - expected) < 1e-12
 
 
+@pytest.mark.parametrize("p, expected", [
+    # Gamma((p+1)/2) / (sqrt(pi) Gamma(p/2 + 1)) in mpmath at 50 digits
+    (1.5, 0.5564178944493822),
+    (25.99, 0.15501025669323637),
+    (26.0, 0.15498101711273193),
+    (100.0, 0.07958923738717877),
+    (254.4, 0.049975221307085406),
+    (299.5, 0.0460658546062123),
+    (300.0, 0.04602751441903444),
+    (1e3, 0.0252250181783608),
+    (1e6, 0.0007978843613317501),
+    (1e8, 7.97884558808154e-05),
+    (1e9, 2.5231325213893768e-05),
+    (1e12, 7.978845608026659e-07),
+])
+def test_kpn_matches_high_precision_values(p, expected):
+    assert abs(kpn(p, 2).value - expected) <= 1e-15 * expected
+
+
 def test_import_loads_no_scipy():
-    # kpn imports scipy.integrate only for exponents without a closed form
+    # kpn is closed form at every exponent
     src = str(Path(nltv.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, nltv; "
+    code = ("import sys, nltv; nltv.kpn(1.5, 2); nltv.kpn(1e6, 2); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

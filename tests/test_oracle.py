@@ -60,10 +60,10 @@ def test_config_validation():
     for p in (0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             OracleConfig(p=p)
-    with pytest.raises(ValueError):
-        OracleConfig(seed=-1)
-    with pytest.raises(ValueError):
-        OracleConfig(exclusion_band=0.0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            OracleConfig(seed=seed)
+    assert OracleConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 def test_constant_input_is_exactly_zero():
@@ -160,15 +160,16 @@ def test_report_error_channels():
     assert m.richardson_delta == 0.0 and m.stderr_estimate > 0.0
 
 
-def test_exclusion_band_stability():
+def test_exclusion_band_stability(monkeypatch):
     """Halving the excluded band around the diagonal moves the spline value
     by less than 1e-3 relative."""
     f = Spline1D([0.0, 0.8, -0.3, 0.5, 0.1])
     kernel = Kernel(KernelKind.BOX1D, 4)
-    base = OracleConfig(method="gauss", exclusion_band=1e-6)
-    halved = replace(base, exclusion_band=5e-7)
-    a = oracle_eval(f, kernel, base).value
-    b = oracle_eval(f, kernel, halved).value
+    cfg = OracleConfig(method="gauss")
+    assert oracle._EXCLUSION_BAND == 1e-6
+    a = oracle_eval(f, kernel, cfg).value
+    monkeypatch.setattr(oracle, "_EXCLUSION_BAND", 5e-7)
+    b = oracle_eval(f, kernel, cfg).value
     assert abs(a - b) <= 1e-3 * abs(a)
 
 
@@ -502,8 +503,8 @@ def _old_curve_gauss_1d(func, knots, kernel, cfg, split_roots):
                                              split_roots) / float(u) ** cfg.p
         return 2.0 * kernel.height * total
 
-    near = band_value(cfg.exclusion_band)
-    far = band_value(2.0 * cfg.exclusion_band)
+    near = band_value(oracle._EXCLUSION_BAND)
+    far = band_value(2.0 * oracle._EXCLUSION_BAND)
     return max(2.0 * near - far, 0.0), abs(near - far)
 
 

@@ -24,3 +24,22 @@ def test_denoise_workload_reports_every_end_to_end_metric():
     for metric in declared:
         entry = report["metrics"][metric["name"]]
         assert entry["unit"] == metric["unit"]
+
+
+def test_traced_workloads_report_every_per_layer_metric():
+    # the traced replay calls the library by name, so this fails as soon as a
+    # name the benchmark uses is gone
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    reports = json.loads(proc.stdout.strip().splitlines()[-1])
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(reports) == {"denoise-2d", "verify-mc"}
+    for report in reports.values():
+        assert report["correct"] is True
+        assert report["failed"] == 0 and report["attempted"] >= 1
+        for metric in declared:
+            entry = report["metrics"][metric["name"]]
+            assert entry["unit"] == metric["unit"]

@@ -8,10 +8,7 @@ from nltv import (
     Kernel,
     KernelKind,
     OracleConfig,
-    diagonal_overlap_integral,
     eval_image,
-    image_pair_sums,
-    lateral_overlap_integral,
     oracle_eval,
     stencil_weights,
 )
@@ -64,14 +61,6 @@ def test_lateral_exceeds_diagonal(kind):
         assert w.lateral > w.diagonal > 0
 
 
-def test_overlap_integral_values():
-    assert lateral_overlap_integral(1) == 2.0 / 3.0
-    assert diagonal_overlap_integral(1) == 1.0 / 6.0
-    assert abs(lateral_overlap_integral(3) - 2.0 / 81.0) < 1e-16
-    with pytest.raises(ValueError):
-        lateral_overlap_integral(0)
-
-
 def test_eval_image_examples():
     assert eval_image(Image2D(np.full((3, 3), 0.4)), KernelKind.DISC2D) == 0.0
     value = eval_image(Image2D([[0.0, 1.0], [0.0, 1.0]]), KernelKind.DISC2D)
@@ -101,17 +90,6 @@ def test_checkerboard_value():
     # every lateral pair differs by one, diagonal pairs are all equal
     assert eval_image(Image2D(a), KernelKind.DISC2D) == pytest.approx(
         2 * n * (n - 1) * w.lateral, rel=1e-14)
-
-
-def test_prefactor_consistency_identity():
-    rng = np.random.default_rng(11)
-    for n in (2, 4, 7):
-        a = rng.standard_normal((n, n))
-        lat, dia = image_pair_sums(Image2D(a))
-        assembled = eval_image(Image2D(a), KernelKind.DISC2D)
-        prefactor = (2 * n * n / math.pi) * (
-            dia * diagonal_overlap_integral(n) + lat * lateral_overlap_integral(n))
-        assert abs(assembled - prefactor) <= 1e-14 * max(abs(assembled), 1e-30)
 
 
 @pytest.mark.parametrize("kind", [KernelKind.DISC2D, KernelKind.SQUARE2D])
