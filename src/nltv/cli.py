@@ -305,8 +305,6 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError("--n must be at least 2")
         if args.samples < 10_000:
             raise UsageError("--samples must be at least 10000")
-        if args.seed < 0:
-            raise UsageError("--seed must be non-negative")
         if not args.tol > 0:
             raise UsageError("--tol must be positive")
     if args.command in ("denoise", "gamma"):
@@ -386,8 +384,8 @@ def _verify_input(args):
 
 
 def _cmd_verify(args) -> int:
-    f, kernel, closed = _verify_input(args)
     cfg = OracleConfig(method=args.method, samples=args.samples, seed=args.seed)
+    f, kernel, closed = _verify_input(args)
     report = oracle_eval(f, kernel, cfg)
     rel = abs(report.value - closed) / max(abs(closed), 1e-300)
     print(f"closed-form {format(closed, '.12g')}")

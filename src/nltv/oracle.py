@@ -20,6 +20,8 @@ Two methods are available:
   bit for bit whatever the thread count. Each stratum is drawn and
   evaluated in chunks of at most 32,768 points, so integrands must act
   element-wise, and each thread holds one values array per stratum budget.
+  ``_curve_mc`` gives 1D and 2D curves 16 strata over the offset u and at
+  least 16,000 samples, so a 2D callable threads from 131,072 samples on.
 
 Geometric factors depend only on the relative cell offset and are cached.
 """
@@ -43,7 +45,7 @@ GAUSS = "gauss"
 MONTE_CARLO = "mc"
 
 _MIN_MC_SAMPLES = 10_000
-_STRATA_1D = 16
+_STRATA = 16
 # raw draws per box from which the boxes are spread over threads: on a 2-CPU
 # host, two threads broke even with one near 32,000 draws per box for the 1D
 # and 2D pair factors and the spline curve, and were slower below that
@@ -217,7 +219,7 @@ def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
         vol = math.prod(hi - lo for lo, hi in box)
         total += vol * mean
         var += (vol * std / math.sqrt(per)) ** 2
-    return total, math.sqrt(var)
+    return float(total), math.sqrt(var)
 
 
 def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
@@ -300,17 +302,17 @@ def _factor_1d(d: int, grid_m: int, kind: KernelKind, kernel_n: int, method: str
     if singular:
         split = d * h if lo < d * h < hi else hi
         v1, e1 = _stratified_mc(_power_transformed(integrand, split, p),
-                                [np.linspace(0.0, 1.0, _STRATA_1D + 1)],
+                                [np.linspace(0.0, 1.0, _STRATA + 1)],
                                 nsamples // 2, key)
         v2, e2 = (0.0, 0.0)
         if split < hi:
             # the second piece draws from where the first one ended
             v2, e2 = _stratified_mc(integrand,
-                                    [np.linspace(split, hi, _STRATA_1D + 1)],
+                                    [np.linspace(split, hi, _STRATA + 1)],
                                     nsamples // 2, key,
-                                    _STRATA_1D * _per_box(nsamples // 2, _STRATA_1D))
+                                    _STRATA * _per_box(nsamples // 2, _STRATA))
         return v1 + v2, math.hypot(e1, e2)
-    return _stratified_mc(integrand, [np.linspace(lo, hi, _STRATA_1D + 1)],
+    return _stratified_mc(integrand, [np.linspace(lo, hi, _STRATA + 1)],
                           nsamples, key)
 
 
@@ -523,35 +525,6 @@ def _curve_gauss_1d(func, knots: np.ndarray, kernel: Kernel, cfg: OracleConfig,
     return EvalReport(max(value, 0.0), 0.0, abs(near - far))
 
 
-def _curve_mc_1d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
-    r = kernel.support_radius
-    height = kernel.height
-    # a spline writes its values over its points
-    evaluate = (lambda t: func(t, out=t)) if isinstance(func, Spline1D) else func
-
-    def integrand(u, x):
-        # overwrites u and x; the values land in x
-        y = x - u
-        ok = (y > 0.0) & (y < 1.0) & (u != 0.0)
-        np.clip(y, 0.0, 1.0, out=y)
-        vals = np.subtract(evaluate(x), evaluate(y), out=x)
-        np.abs(vals, out=vals)
-        vals **= cfg.p
-        vals *= height
-        np.abs(u, out=u)
-        u[~ok] = 1.0
-        u **= cfg.p
-        vals /= u
-        vals[~ok] = 0.0
-        return vals
-
-    axes = [np.linspace(-r, r, _STRATA_1D + 1), (0, 1)]
-    # at least 1,000 samples in each of the u strata
-    value, stderr = _stratified_mc(integrand, axes, max(_STRATA_1D * 1000, cfg.samples),
-                                   (cfg.seed, 0))
-    return EvalReport(value, stderr, 0.0)
-
-
 def _kernel_outside_2d(kernel: Kernel, u1: np.ndarray, u2: np.ndarray,
                        norm: np.ndarray) -> np.ndarray:
     """Where ``kernel_eval`` vanishes at the points (u1, u2), with its
@@ -563,35 +536,43 @@ def _kernel_outside_2d(kernel: Kernel, u1: np.ndarray, u2: np.ndarray,
     return norm > r
 
 
-def _callable_mc_2d(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
+def _curve_mc(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
+    """MC of a 1D or 2D curve over the offset u = x - y and the point x."""
+    dim = kernel.dim
     r = kernel.support_radius
+    # a spline writes its values over its points
+    evaluate = (lambda t: func(t, out=t)) if isinstance(func, Spline1D) else func
 
-    def integrand(x1, x2, u1, u2):
-        # overwrites all four; the values land in x2
-        norm = u1 * u1
-        norm += u2 * u2
-        np.sqrt(norm, out=norm)
-        outside = _kernel_outside_2d(kernel, u1, u2, norm)
-        y1 = np.subtract(x1, u1, out=u1)
-        y2 = np.subtract(x2, u2, out=u2)
-        ok = (y1 > 0) & (y1 < 1) & (y2 > 0) & (y2 < 1)
-        ok &= norm > 0
-        fx = func(x1, x2)
-        fy = func(np.clip(y1, 0, 1, out=y1), np.clip(y2, 0, 1, out=y2))
-        vals = np.subtract(fx, fy, out=x2)
+    def integrand(*arrays):
+        # overwrites every array; y lands in u and the values in the last x
+        u, x = arrays[:dim], arrays[dim:]
+        if dim == 1:
+            norm = np.abs(u[0])
+        else:
+            norm = u[0] * u[0]
+            norm += u[1] * u[1]
+            np.sqrt(norm, out=norm)
+        ok = norm != 0.0
+        if dim == 2:
+            ok &= ~_kernel_outside_2d(kernel, *u, norm)
+        for xi, y in zip(x, u):
+            np.subtract(xi, y, out=y)
+            ok &= (y > 0.0) & (y < 1.0)
+            np.clip(y, 0.0, 1.0, out=y)
+        vals = np.subtract(evaluate(*x), evaluate(*u), out=x[-1])
         np.abs(vals, out=vals)
         vals **= cfg.p
-        # phi * vals, phi being the kernel height inside and 0 outside
-        np.multiply(vals, 0.0, out=vals, where=outside)
-        np.multiply(vals, kernel.height, out=vals, where=~outside)
+        vals *= kernel.height
         norm[~ok] = 1.0
         norm **= cfg.p
         vals /= norm
         vals[~ok] = 0.0
         return vals
 
-    value, stderr = _stratified_mc(integrand, [(0, 1), (0, 1), (-r, r), (-r, r)],
-                                   cfg.samples, (cfg.seed, 0))
+    axes = [np.linspace(-r, r, _STRATA + 1)] + [(-r, r)] * (dim - 1) + [(0, 1)] * dim
+    # at least 1,000 samples in each of the u strata
+    value, stderr = _stratified_mc(integrand, axes, max(_STRATA * 1000, cfg.samples),
+                                   (cfg.seed, 0))
     return EvalReport(value, stderr, 0.0)
 
 
@@ -625,33 +606,24 @@ def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     A callable ``f`` gets chunks of at most 32,768 points, maybe on several
     threads at once: it must act element-wise and keep none of its arrays.
     """
-    if isinstance(f, PiecewiseConstant1D):
-        if kernel.dim != 1:
-            raise ValueError("1D input needs a 1D kernel")
+    if isinstance(f, (PiecewiseConstant1D, Image2D)):
+        dim = f.coeffs.ndim
+        if kernel.dim != dim:
+            raise ValueError(f"{dim}D input needs a {dim}D kernel")
         return _eval_piecewise_constant(f.coeffs, kernel, cfg)
-    if isinstance(f, Image2D):
-        if kernel.dim != 2:
-            raise ValueError("2D input needs a 2D kernel")
-        return _eval_piecewise_constant(f.coeffs, kernel, cfg)
-    if isinstance(f, Spline1D):
-        if kernel.dim != 1:
-            raise ValueError("1D input needs a 1D kernel")
-        knots = np.linspace(0.0, 1.0, f.n + 1)
-        if cfg.method == GAUSS:
-            return _curve_gauss_1d(f, knots, kernel, cfg,
-                                   split_roots=cfg.p in (1.0, 2.0))
-        return _curve_mc_1d(f, kernel, cfg)
-    if callable(f):
-        if kernel.dim == 1:
-            if cfg.method == GAUSS:
-                knots = np.linspace(0.0, 1.0, 33)
-                return _curve_gauss_1d(f, knots, kernel, cfg, split_roots=False)
-            return _curve_mc_1d(f, kernel, cfg)
-        if cfg.method == GAUSS:
-            raise ValueError("Gauss quadrature for 2D inputs is only available "
-                             "for piecewise-constant images; use Monte Carlo")
-        return _callable_mc_2d(f, kernel, cfg)
-    raise TypeError(f"unsupported input type {type(f).__name__}")
+    if not callable(f):
+        raise TypeError(f"unsupported input type {type(f).__name__}")
+    spline = isinstance(f, Spline1D)
+    if spline and kernel.dim != 1:
+        raise ValueError("1D input needs a 1D kernel")
+    if cfg.method == MONTE_CARLO:
+        return _curve_mc(f, kernel, cfg)
+    if kernel.dim == 2:
+        raise ValueError("Gauss quadrature for 2D inputs is only available "
+                         "for piecewise-constant images; use Monte Carlo")
+    knots = np.linspace(0.0, 1.0, (f.n if spline else 32) + 1)
+    return _curve_gauss_1d(f, knots, kernel, cfg,
+                           split_roots=spline and cfg.p in (1.0, 2.0))
 
 
 def fit_stencil(kind: KernelKind, n: int, cfg: OracleConfig) -> StencilWeights:

@@ -304,11 +304,16 @@ def eval_haar(idx: HaarIndex, n: int) -> float:
 
     At a shared interval endpoint the later branch wins, so the constant
     large-scale values are returned verbatim rather than through the
-    logarithmic formulas that meet them there.
+    logarithmic formulas that meet them there. The branches cover every
+    scale; a scale or value beyond the float range raises ``ValueError``.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"kernel scale must be a positive integer, got {n!r}")
-    for branch in reversed(haar_branches(idx)):
-        if branch.covers(float(n)):
-            return float(branch.value(float(n)))
-    raise ValueError(f"no branch covers scale n={n} for index {idx}")
+    try:
+        value = next(float(b.value(float(n))) for b in reversed(haar_branches(idx))
+                     if b.covers(float(n)))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the scale or value of {idx} is beyond the float range")
+    return value

@@ -319,6 +319,23 @@ def test_eval_commands(tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(10 / (6 * math.pi))
 
 
+@pytest.mark.parametrize("k, scale", [(1024, 3), (1, 10 ** 400), (700, 2 ** 700)],
+                         ids=["level", "scale", "value"])
+def test_eval_haar_overflow_is_a_usage_error(capsys, k, scale):
+    # 2.0**k, float(scale) and the value itself overflow
+    assert main(["eval", "--family", "haar", "--k", str(k), "--j", "1",
+                 "--scale", str(scale)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: the scale or value of HaarIndex(")
+
+
+def test_eval_haar_near_the_float_limit_is_finite(capsys):
+    # at n = 2^k the value grows as 2^(1.5 k), past the float range from k = 683
+    assert main(["eval", "--family", "haar", "--k", "682", "--j", "1",
+                 "--scale", str(2 ** 682)]) == 0
+    assert math.isfinite(float(capsys.readouterr().out))
+
+
 def test_table_haar_golden_values(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["table", "haar", "--kmax", "2", "--nmax", "8",
@@ -342,12 +359,14 @@ def test_verify_within_tolerance(capsys):
     assert "closed-form" in out and "oracle" in out
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("method", ["mc", "gauss"])
-def test_verify_seed_beyond_64_bits_is_a_usage_error(capsys, method):
+def test_verify_seed_beyond_64_bits_is_a_usage_error(capsys, method, seed):
     # the Philox key words of the MC streams are 64 bits
     assert main(["verify", "--family", "pc", "--n", "4", "--method", method,
-                 "--seed", str(2 ** 64)]) == 1
-    assert capsys.readouterr().err.startswith("usage error:")
+                 "--seed", str(seed)]) == 1
+    assert (capsys.readouterr().err
+            == "usage error: seed must be a non-negative integer below 2**64\n")
 
 
 def test_verify_exit_three_when_tolerance_exceeded(capsys):

@@ -316,7 +316,7 @@ def test_fit_stencil_recovers_closed_forms():
 
 # The Monte Carlo loops that _stratified_mc replaced, kept as references: the
 # 1D sampler of _factor_1d, the 4x4 loop of _factor_2d and the one-box
-# estimator of _callable_mc_2d.
+# estimator that 2D callables had before they were stratified over u.
 
 
 def _old_mc_1d(fn, a, b, nsamples, rng, nstrata):
@@ -624,7 +624,7 @@ def _old_curve_mc_1d(func, kernel, cfg):
 def _old_callable_mc_2d(func, kernel, cfg):
     r = kernel.support_radius
 
-    def integrand(x1, x2, u1, u2):
+    def integrand(u1, u2, x1, x2):
         y1, y2 = x1 - u1, x2 - u2
         ok = (y1 > 0) & (y1 < 1) & (y2 > 0) & (y2 < 1)
         norm = np.sqrt(u1 * u1 + u2 * u2)
@@ -639,8 +639,8 @@ def _old_callable_mc_2d(func, kernel, cfg):
         safe = np.where(ok, norm, 1.0)
         return np.where(ok, phi * np.abs(fx - fy) ** cfg.p / safe ** cfg.p, 0.0)
 
-    return _sequential_mc(integrand, [(0, 1), (0, 1), (-r, r), (-r, r)], cfg.samples,
-                          _stream(cfg.seed, 0))
+    return _sequential_mc(integrand, [np.linspace(-r, r, 17), (-r, r), (0, 1), (0, 1)],
+                          max(16_000, cfg.samples), _stream(cfg.seed, 0))
 
 
 @pytest.fixture(params=[1, 2, 4], ids=lambda c: f"{c}cpu")
@@ -671,7 +671,7 @@ def _in_place(fn):
     ([np.linspace(0.1, 0.7, 4)], 3 * 5 + 1, 1),
     # two axes: 16 boxes of 2 x 9 draws
     ([np.linspace(0.0, 0.5, 5), np.linspace(-1.0, 2.0, 5)], 16 * 9, 3),
-    # four axes: 4 boxes of 4 x 5 draws, and the one-box 2D callable layout
+    # four axes: 4 boxes of 4 x 5 draws, and one box of 4 x 1001 draws
     ([np.linspace(0.0, 1.0, 3), (0, 1), np.linspace(-0.1, 0.1, 3), (-0.1, 0.1)], 21, 2),
     ([(0, 1), (0, 1), (-0.25, 0.25), (-0.25, 0.25)], 1001, 0),
 ])
@@ -742,14 +742,24 @@ def test_small_budgets_run_on_the_calling_thread(monkeypatch):
         callers.add(threading.get_ident())
         return np.sin(3.0 * x)
 
-    # the curve sampler draws 16 boxes of 2 x samples / 16: the default budget,
-    # the last budget below the threshold and the first one at it
+    def func_2d(x, y):
+        callers.add(threading.get_ident())
+        return x * y
+
+    # the curve sampler draws 16 boxes of 2 x samples / 16 in 1D and of
+    # 4 x samples / 16 in 2D: the default budget, the last budget below the
+    # threshold and the first one at it
     main = threading.get_ident()
-    for samples, on_main in [(OracleConfig().samples, True),
-                             (8 * oracle._THREAD_DRAWS - 16, True),
-                             (8 * oracle._THREAD_DRAWS, False)]:
+    square = Kernel(KernelKind.SQUARE2D, 8)
+    for f, kernel, samples, on_main in [
+            (func, BOX, OracleConfig().samples, True),
+            (func, BOX, 8 * oracle._THREAD_DRAWS - 16, True),
+            (func, BOX, 8 * oracle._THREAD_DRAWS, False),
+            (func_2d, square, OracleConfig().samples, True),
+            (func_2d, square, 4 * oracle._THREAD_DRAWS - 16, True),
+            (func_2d, square, 4 * oracle._THREAD_DRAWS, False)]:
         callers.clear()
-        oracle_eval(func, BOX, OracleConfig(method="mc", samples=samples, seed=1))
+        oracle_eval(f, kernel, OracleConfig(method="mc", samples=samples, seed=1))
         assert (callers == {main}) if on_main else (main not in callers)
 
 
@@ -796,8 +806,8 @@ def test_sampler_builds_a_stream_per_run_or_per_axis_of_a_larger_box(monkeypatch
 def test_chunked_factors_and_callables_are_bit_identical_to_the_sequential_loop(
         cpus, monkeypatch, p):
     # chunks of 1,000 points cut the singular factor's boxes of 3, 1,001 and
-    # 1,562 points, the curves' boxes of 2,501 and the 2D callables' one box
-    # of 30,001
+    # 1,562 points, the 1D curves' boxes of 2,501 and the 2D callables' boxes
+    # of 1,875
     monkeypatch.setattr(oracle, "_CHUNK", 1000)
     if p > 1.0:
         test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p)
@@ -840,10 +850,12 @@ def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
     assert peak <= 2.5 * 2 * per_box * 8
 
 
-def test_callable_2d_mc_peak_memory_is_about_one_values_array():
-    # the 2D callable sampler's one box: one values array of 4e6 points and
-    # chunk-sized draws (1.07 arrays seen); box-sized draws held 8.3 arrays
-    cfg = OracleConfig(method="mc", samples=4_000_000, seed=1)
+def test_callable_2d_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
+    # two threads, each holding one values array of a box and chunk-sized
+    # draws and temporaries (2.07 arrays seen, 2.41 on a process's first call)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = OracleConfig(method="mc", samples=16 * 250_000, seed=1)
+    per_box = cfg.samples // 16
     tracemalloc.start()
     try:
         oracle_eval(lambda x, y: np.sin(3 * x) + y * y, Kernel(KernelKind.SQUARE2D, 8),
@@ -851,4 +863,15 @@ def test_callable_2d_mc_peak_memory_is_about_one_values_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * cfg.samples * 8
+    assert peak <= 2.5 * 2 * per_box * 8
+
+
+def test_mc_reports_hold_python_floats():
+    # the strata edges are numpy scalars, and so would be the sum of the
+    # volume-weighted box means
+    cfg = OracleConfig(method="mc", samples=20_000, seed=1)
+    spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 9))
+    for f, kernel in [(spline, BOX), (np.sin, BOX), (lambda x, y: x * y, DISC)]:
+        report = oracle_eval(f, kernel, cfg)
+        assert type(report.value) is float
+        assert type(report.stderr_estimate) is float
