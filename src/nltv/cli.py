@@ -303,8 +303,6 @@ def parse_args(argv) -> argparse.Namespace:
     if args.command == "verify":
         if args.n < 2:
             raise UsageError("--n must be at least 2")
-        if args.samples < 10_000:
-            raise UsageError("--samples must be at least 10000")
         if not args.tol > 0:
             raise UsageError("--tol must be positive")
     if args.command in ("denoise", "gamma"):

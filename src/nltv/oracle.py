@@ -17,9 +17,10 @@ Two methods are available:
   with one counter-based stream per task derived from (seed, task id). A
   run of strata can jump to its own draws of that stream, so large budgets
   run on up to one thread per available CPU and the results are the same
-  bit for bit whatever the thread count. Each stratum is drawn and
-  evaluated in chunks of at most 32,768 points, so integrands must act
-  element-wise, and each thread holds one values array per stratum budget.
+  bit for bit whatever the thread count. Large budgets cut the strata of
+  the first axis into pieces of at most 32,768 points, so an integrand gets
+  one stratum of at most 32,768 points per call and must act element-wise,
+  and each thread holds arrays of that size only.
   ``_curve_mc`` gives 1D and 2D curves 16 strata over the offset u and at
   least 16,000 samples, so a 2D callable threads from 131,072 samples on.
 
@@ -50,8 +51,9 @@ _STRATA = 16
 # host, two threads broke even with one near 32,000 draws per box for the 1D
 # and 2D pair factors and the spline curve, and were slower below that
 _THREAD_DRAWS = 32_768
-# points per axis handed to an MC integrand at once, a measured trade-off: the
-# spline verify at 2e7 samples was slower at 16,384 and took more memory at 65,536
+# most points per axis in a stratum, and so per integrand call, a measured
+# trade-off when it was the chunk of a longer stratum: the spline verify at
+# 2e7 samples was slower at 16,384 and took more memory at 65,536
 _CHUNK = 1 << 15
 # half-width of the band |x - y| < delta that the Gauss curve evaluation
 # excludes before it extrapolates linearly in delta
@@ -149,9 +151,9 @@ def _per_box(nsamples: int, boxes: int) -> int:
 
 
 def _threads(boxes: int, draws: int) -> int:
-    """Threads for ``boxes`` boxes of ``draws`` raw draws each: one below
-    ``_THREAD_DRAWS`` draws per box, else one per available CPU, up to one
-    per box."""
+    """Threads for ``boxes`` boxes cut from strata of ``draws`` raw draws
+    each: one below ``_THREAD_DRAWS`` draws per stratum, else one per
+    available CPU, up to one per box."""
     if draws < _THREAD_DRAWS:
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -167,44 +169,54 @@ def _moments(vals: np.ndarray):
     return mean, math.sqrt(vals.sum() / (vals.size - 1))
 
 
+def _strata(axes, nsamples: int):
+    """The boxes of ``nsamples`` points over the product grid of ``axes``,
+    first axis outermost, once each interval of the first axis is cut evenly
+    into the fewest pieces that hold at most ``_CHUNK`` points; returns them,
+    the points per box and the pieces per interval."""
+    per = _per_box(nsamples, math.prod(len(e) - 1 for e in axes))
+    cut = -(-per // _CHUNK)
+    e = np.asarray(axes[0], dtype=float)
+    e = np.append(np.linspace(e[:-1], e[1:], cut, endpoint=False, axis=1), e[-1])
+    boxes = list(itertools.product(*(zip(a[:-1], a[1:]) for a in [e, *axes[1:]])))
+    return boxes, _per_box(nsamples, len(boxes)), cut
+
+
 def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
     """Stratified uniform MC of a vectorized integrand of len(axes) variables.
 
-    ``axes`` holds one edge list per axis; the strata are the boxes of their
-    product grid, first axis outermost. In box order, each box takes its
-    share of the budget once per axis, in axis order, from the stream of
-    ``key`` = (seed, task) starting at raw draw ``start``. ``fn`` is called
-    on chunks of at most ``_CHUNK`` of those points, so it must act
-    element-wise; it owns the arrays and may overwrite them. Its values fill
-    one array of a box's budget per thread, reused for every box.
+    ``axes`` holds one edge list per axis; the strata are the boxes of
+    ``_strata``, so each holds at most ``_CHUNK`` points. In box order, each
+    box takes its share of the budget once per axis, in axis order, from the
+    stream of ``key`` = (seed, task) starting at raw draw ``start``. ``fn``
+    is called once per box on one draw array per axis, reused by its thread
+    for every box; it may overwrite them, and the moments overwrite its values.
 
-    The boxes are cut into one contiguous run per thread, and each run, or
-    each axis of a box of several chunks, starts its own copy of the stream
-    at its first draw. Budgets of at least ``_THREAD_DRAWS`` raw draws per
-    box run on up to one thread per available CPU, so ``fn`` may be called
-    from several threads at once; smaller ones run on one. The box moments
-    are added in box order, so neither the thread count nor the chunk size
-    changes the result. Returns the estimate and its standard error.
+    The boxes are cut into one contiguous run per thread, and each run
+    starts its own copy of the stream at its first draw. Budgets of at least
+    ``_THREAD_DRAWS`` raw draws per box before the cut run on up to one
+    thread per available CPU, so ``fn`` may be called from several threads
+    at once; smaller ones run on one. The box moments are added in box
+    order, so the thread count does not change the result. Returns the
+    estimate and its standard error.
     """
-    boxes = list(itertools.product(*(zip(e[:-1], e[1:]) for e in axes)))
-    per = _per_box(nsamples, len(boxes))
+    boxes, per, cut = _strata(axes, nsamples)
     draws = len(axes) * per
 
     def run(first, last):
-        vals = np.empty(per)
+        bufs = [np.empty(per) for _ in axes]
+        rng = _stream(*key, start + first * draws)
         moments = []
-        # boxes of one chunk draw their axes one after another from one stream
-        one = _stream(*key, start + first * draws) if per <= _CHUNK else None
-        for b in range(first, last):
-            rngs = ([one] * len(axes) if one is not None else
-                    [_stream(*key, start + b * draws + a * per) for a in range(len(axes))])
-            for i in range(0, per, _CHUNK):
-                vals[i:i + _CHUNK] = fn(*(rng.uniform(lo, hi, min(_CHUNK, per - i))
-                                          for rng, (lo, hi) in zip(rngs, boxes[b])))
-            moments.append(_moments(vals))
+        for box in boxes[first:last]:
+            # the draws and arithmetic of rng.uniform(lo, hi, per)
+            for buf, (lo, hi) in zip(bufs, box):
+                rng.random(out=buf)
+                buf *= hi - lo
+                buf += lo
+            moments.append(_moments(fn(*bufs)))
         return moments
 
-    threads = _threads(len(boxes), draws)
+    threads = _threads(len(boxes), cut * draws)
     if threads == 1:
         runs = [run(0, len(boxes))]
     else:
@@ -301,16 +313,16 @@ def _factor_1d(d: int, grid_m: int, kind: KernelKind, kernel_n: int, method: str
     key = (seed, d)
     if singular:
         split = d * h if lo < d * h < hi else hi
-        v1, e1 = _stratified_mc(_power_transformed(integrand, split, p),
-                                [np.linspace(0.0, 1.0, _STRATA + 1)],
+        axes = [np.linspace(0.0, 1.0, _STRATA + 1)]
+        v1, e1 = _stratified_mc(_power_transformed(integrand, split, p), axes,
                                 nsamples // 2, key)
         v2, e2 = (0.0, 0.0)
         if split < hi:
             # the second piece draws from where the first one ended
+            boxes, per, _ = _strata(axes, nsamples // 2)
             v2, e2 = _stratified_mc(integrand,
                                     [np.linspace(split, hi, _STRATA + 1)],
-                                    nsamples // 2, key,
-                                    _STRATA * _per_box(nsamples // 2, _STRATA))
+                                    nsamples // 2, key, len(boxes) * per)
         return v1 + v2, math.hypot(e1, e2)
     return _stratified_mc(integrand, [np.linspace(lo, hi, _STRATA + 1)],
                           nsamples, key)
@@ -603,8 +615,9 @@ def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
 
     With ``method="mc"`` the strata of large budgets run on up to one thread
     per available CPU, and the report does not depend on the thread count.
-    A callable ``f`` gets chunks of at most 32,768 points, maybe on several
-    threads at once: it must act element-wise and keep none of its arrays.
+    A callable ``f`` gets one stratum of at most 32,768 points per call,
+    maybe on several threads at once: it must act element-wise and keep none
+    of its arrays.
     """
     if isinstance(f, (PiecewiseConstant1D, Image2D)):
         dim = f.coeffs.ndim

@@ -115,7 +115,6 @@ class Spline1D:
             out = np.empty(x.shape)
         flat_out = out.reshape(-1)
         size = min(_INTERP_BLOCK, flat.size)
-        frac = np.empty(size)
         work = np.empty(size)
         bins = np.empty(size, dtype=np.intp)
         # far-out points overflow or meet inf; they all take the slow path
@@ -123,19 +122,19 @@ class Spline1D:
             for lo in range(0, flat.size, _INTERP_BLOCK):
                 xb = flat[lo:lo + _INTERP_BLOCK]
                 ob = flat_out[lo:lo + _INTERP_BLOCK]
-                k = xb.size
-                fb, wb, jb = frac[:k], work[:k], bins[:k]
-                np.multiply(xb, n, out=fb)
+                wb, jb = work[:xb.size], bins[:xb.size]
                 # fmax/fmin also map nan to a valid bin
-                np.fmin(np.fmax(fb, 0.0, out=wb), n - 1, out=wb)
+                np.fmin(np.fmax(np.multiply(xb, n, out=wb), 0.0, out=wb), n - 1, out=wb)
                 jb[...] = wb
-                np.subtract(fb, jb, out=fb)
-                slow = (fb <= _BIN_MARGIN) | (fb >= 1.0 - _BIN_MARGIN)
+                # the fraction of x * n past its bin
+                np.subtract(np.multiply(xb, n, out=wb), jb, out=wb)
+                slow = (wb <= _BIN_MARGIN) | (wb >= 1.0 - _BIN_MARGIN)
                 # ob may be xb itself, so the slow points are copied first
                 x_slow = xb[slow] if slow.any() else None
-                np.subtract(xb, np.take(grid, jb, out=wb), out=wb)
-                np.multiply(np.take(slopes, jb), wb, out=ob)
-                ob += np.take(nodes, jb)
+                # every bin is valid, and take buffers ``out`` unless it clips
+                np.subtract(xb, np.take(grid, jb, out=wb, mode="clip"), out=wb)
+                np.multiply(np.take(slopes, jb, out=ob, mode="clip"), wb, out=ob)
+                ob += np.take(nodes, jb, out=wb, mode="clip")
                 if x_slow is not None:
                     ob[slow] = np.interp(x_slow, grid, nodes)
         return out

@@ -51,8 +51,6 @@ def test_parse_args_rejects_bad_flags():
     with pytest.raises(UsageError):
         parse_args(["gamma", "--input", "x.csv", "--alpha", "0.1",
                     "--scales", "4,2", "--out", "y.csv"])
-    with pytest.raises(UsageError):
-        parse_args(["verify", "--family", "pc", "--n", "3", "--samples", "50"])
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -357,6 +355,15 @@ def test_verify_within_tolerance(capsys):
                  "--samples", "50000", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "closed-form" in out and "oracle" in out
+
+
+def test_verify_sample_floor_binds_monte_carlo_only(capsys):
+    # the floor lives in OracleConfig; Gauss quadrature ignores the budget
+    assert main(["verify", "--family", "pc", "--n", "3", "--samples", "50"]) == 1
+    assert (capsys.readouterr().err
+            == "usage error: Monte Carlo needs at least 10000 samples\n")
+    assert main(["verify", "--family", "pc", "--n", "4", "--method", "gauss",
+                 "--samples", "5000"]) == 0
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

@@ -567,10 +567,22 @@ def test_curve_gauss_reports_are_bit_identical_to_the_reference(p):
 # The sequential sampler that the threaded _stratified_mc replaced, with the
 # out-of-place integrands of the singular 1D factor, the curve sampler and the
 # 2D callable sampler, kept as references: every box drew from one live
-# stream in box order.
+# stream in box order. It samples the axes as _stratified_mc cuts them, which
+# leaves them as they are at up to oracle._CHUNK points per box.
+
+
+def _cut(axes, nsamples):
+    # each interval of the first axis cut evenly into the fewest pieces of at
+    # most oracle._CHUNK points
+    per = max(2, nsamples // math.prod(len(e) - 1 for e in axes))
+    pieces = -(-per // oracle._CHUNK)
+    first = [v for lo, hi in zip(axes[0][:-1], axes[0][1:])
+             for v in np.linspace(lo, hi, pieces, endpoint=False)]
+    return [np.array([*first, axes[0][-1]], dtype=float), *axes[1:]]
 
 
 def _sequential_mc(fn, axes, nsamples, rng):
+    axes = _cut(axes, nsamples)
     boxes = list(itertools.product(*(zip(e[:-1], e[1:]) for e in axes)))
     per = max(2, nsamples // len(boxes))
     total = 0.0
@@ -693,7 +705,8 @@ def test_threaded_sampler_is_bit_identical_to_the_sequential_loop(cpus, axes, ns
 @pytest.mark.parametrize("p", [1.5, 1.8])
 def test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p):
     # the second piece draws from where the first one ended; 2 * 16 * per is
-    # a multiple of 4 only for even per
+    # a multiple of 4 only for even per, and with oracle._CHUNK patched the
+    # first piece's cut boxes hold fewer draws than 16 uncut ones
     for nsamples in (50_000, 32 * 3, 32 * 1001):
         for grid_m, kscale in [(8, 4), (8, 16)]:
             kernel = Kernel(KernelKind.BOX1D, kscale)
@@ -761,6 +774,12 @@ def test_small_budgets_run_on_the_calling_thread(monkeypatch):
         callers.clear()
         oracle_eval(f, kernel, OracleConfig(method="mc", samples=samples, seed=1))
         assert (callers == {main}) if on_main else (main not in callers)
+    # one axis of one point past a chunk per stratum, cut into boxes of half
+    # a chunk: the thread rule counts the draws of a stratum before the cut
+    callers.clear()
+    _stratified_mc(lambda x: callers.add(threading.get_ident()) or x,
+                   [np.linspace(0.0, 1.0, 17)], 16 * (oracle._CHUNK + 1), (1, 2))
+    assert main not in callers
 
 
 @pytest.mark.parametrize("per", [5, 8, 9, 21], ids=lambda n: f"per{n}")
@@ -771,10 +790,11 @@ def test_small_budgets_run_on_the_calling_thread(monkeypatch):
     [np.linspace(0.0, 1.0, 3), (0, 1), (-0.1, 0.1), (-0.1, 0.1)],
 ], ids=["1axis", "2axes", "4axes"])
 @pytest.mark.parametrize("in_place", [False, True])
-def test_chunked_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypatch, axes,
-                                                                 per, in_place):
+def test_cut_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypatch, axes,
+                                                             per, in_place):
     # chunks of 8 points: a box below, at, one past and between multiples of
-    # the chunk, whose axes then draw from streams started mid Philox block
+    # the chunk, cut into one, one, two and three pieces of fewer points, so
+    # that runs start mid Philox block
     monkeypatch.setattr(oracle, "_CHUNK", 8)
 
     def fn(*arrays):
@@ -790,24 +810,40 @@ def test_chunked_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypat
                 == _hex_pair(_sequential_mc(fn, axes, boxes * per + 1, ref)))
 
 
-@pytest.mark.parametrize("per, streams", [(8, 1), (9, 3 * 2)], ids=["per8", "per9"])
-def test_sampler_builds_a_stream_per_run_or_per_axis_of_a_larger_box(monkeypatch, per,
-                                                                      streams):
-    # three boxes of two axes on one thread: boxes of one chunk share the
-    # run's stream, and larger ones build one per axis and no run stream
+@pytest.mark.parametrize("per", [8, 9, 40], ids=lambda n: f"per{n}")
+def test_sampler_builds_one_stream_per_run(cpus, monkeypatch, per):
+    # three boxes of two axes, cut into three, six and fifteen boxes of at
+    # most 8 points, on one run per thread
     monkeypatch.setattr(oracle, "_CHUNK", 8)
     built = []
     monkeypatch.setattr(oracle, "_stream", lambda *args: built.append(args) or _stream(*args))
     _stratified_mc(lambda x, y: x * y, [np.linspace(0.0, 1.0, 4), (0, 1)], 3 * per, (1, 2))
-    assert len(built) == streams
+    assert len(built) == min(cpus, 3 * -(-per // 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ends=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(sorted),
+       size=st.integers(1, 3000), seed=st.integers(0, 2 ** 64 - 1),
+       start=st.integers(0, 4 * 10 ** 6))
+def test_scaled_random_draws_equal_uniform(ends, size, seed, start):
+    # the sampler's draws, from any raw draw of a stream, also mid Philox block
+    lo, hi = ends
+    rng, ref = _stream(seed, 3, start), _stream(seed, 3, start)
+    buf = np.empty(size)
+    rng.random(out=buf)
+    buf *= hi - lo
+    buf += lo
+    assert buf.tobytes() == ref.uniform(lo, hi, size).tobytes()
+    # and both took the same raw draws
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
-def test_chunked_factors_and_callables_are_bit_identical_to_the_sequential_loop(
+def test_cut_factors_and_callables_are_bit_identical_to_the_sequential_loop(
         cpus, monkeypatch, p):
-    # chunks of 1,000 points cut the singular factor's boxes of 3, 1,001 and
-    # 1,562 points, the 1D curves' boxes of 2,501 and the 2D callables' boxes
-    # of 1,875
+    # chunks of 1,000 points cut the singular factor's boxes of 1,001 and
+    # 1,562 points in two and leave those of 3, and cut the 1D curves' boxes
+    # of 2,501 and the 2D callables' boxes of 1,875 in three and two
     monkeypatch.setattr(oracle, "_CHUNK", 1000)
     if p > 1.0:
         test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p)
@@ -833,37 +869,39 @@ def test_in_place_moments_equal_mean_and_std(vals):
     assert _hex_pair(_moments(vals.copy())) == _hex_pair(want)
 
 
-def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
-    # two threads, each holding one values array of a box and chunk-sized
-    # draws and temporaries (2.1 arrays seen); box-sized draws held 3.8
-    # arrays per thread, and out-of-place integrands on them 8.7
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129))
-    cfg = OracleConfig(method="mc", samples=16 * 250_000, seed=1)
-    per_box = cfg.samples // 16
+def _mc_peak(f, kernel, samples):
     tracemalloc.start()
     try:
-        oracle_eval(spline, Kernel(KernelKind.BOX1D, 128), cfg)
-        _, peak = tracemalloc.get_traced_memory()
+        oracle_eval(f, kernel, OracleConfig(method="mc", samples=samples, seed=1))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 2 * per_box * 8
+
+
+def _assert_peak_is_chunks_per_thread(monkeypatch, f, kernel, chunks):
+    # two threads, at a budget of 250,000 points per u stratum and at four
+    # times that: the peak is a few arrays of one chunk per thread, and only
+    # the list of boxes (about 0.4 KB a box) grows with the budget
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    arrays = 2 * oracle._CHUNK * 8
+    small = _mc_peak(f, kernel, 16 * 250_000)
+    large = _mc_peak(f, kernel, 4 * 16 * 250_000)
+    assert max(small, large) <= chunks * arrays
+    assert large <= small + arrays
+
+
+def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
+    # two draw buffers, the values, |u| and the lookup's scratch: 6.2 to 7.4
+    # chunk arrays per thread seen
+    spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129))
+    _assert_peak_is_chunks_per_thread(monkeypatch, spline, Kernel(KernelKind.BOX1D, 128), 9)
 
 
 def test_callable_2d_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
-    # two threads, each holding one values array of a box and chunk-sized
-    # draws and temporaries (2.07 arrays seen, 2.41 on a process's first call)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    cfg = OracleConfig(method="mc", samples=16 * 250_000, seed=1)
-    per_box = cfg.samples // 16
-    tracemalloc.start()
-    try:
-        oracle_eval(lambda x, y: np.sin(3 * x) + y * y, Kernel(KernelKind.SQUARE2D, 8),
-                    cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * 2 * per_box * 8
+    # four draw buffers, the values, the norm and the callable's own
+    # temporaries: 9.7 to 10.2 chunk arrays per thread seen
+    _assert_peak_is_chunks_per_thread(monkeypatch, lambda x, y: np.sin(3 * x) + y * y,
+                                      Kernel(KernelKind.SQUARE2D, 8), 12)
 
 
 def test_mc_reports_hold_python_floats():
