@@ -66,11 +66,11 @@ class _Parser(argparse.ArgumentParser):
 
 def read_signal_csv(path: str) -> np.ndarray:
     """One finite real per line; ``#`` comments skipped; an optional single
-    header line is tolerated."""
+    header line is tolerated, and so is a leading UTF-8 byte-order mark."""
     values = []
     header_seen = False
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc

@@ -156,7 +156,6 @@ class DenoiseResult:
     energy_trace: np.ndarray
     iterations: int
     converged: bool
-    fidelity_value: float
     regularizer_value: float
 
 
@@ -413,13 +412,11 @@ def denoise(data: DataTerm, params: EnergyParams,
     best, trace, iterations, converged = _solve(
         data.data.ravel().astype(float), mu, normalized, params.p, solver)
     minimizer = best.reshape(data.data.shape)
-    fid = mu * 0.5 * float(np.sum((minimizer - data.data) ** 2))
     reg = normalized.value(best, params.p) * mu / scale
     return DenoiseResult(minimizer=minimizer,
                          energy_trace=np.asarray(trace),
                          iterations=iterations,
                          converged=converged,
-                         fidelity_value=fid,
                          regularizer_value=reg)
 
 

@@ -24,7 +24,10 @@ Two methods are available:
   ``_curve_mc`` gives 1D and 2D curves 16 strata over the offset u and at
   least 16,000 samples, so a 2D callable threads from 131,072 samples on.
 
-Geometric factors depend only on the relative cell offset and are cached.
+Geometric factors depend only on the relative cell offset. Both dimensions
+share one cached pair factor, ``_factor``, keyed by the canonical offset
+``(d,)`` or ``(dx, dy)``; its Monte Carlo stream is that of (seed, d) in 1D
+and of (seed, 1024 dx + dy) in 2D, the streams of every pinned estimate.
 """
 
 from __future__ import annotations
@@ -243,8 +246,25 @@ def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
     return np.maximum(t, 0.0, out=t)
 
 
+def _norm_outside(kernel: Kernel, u):
+    """The norm of the offsets ``u`` (one array per axis) and where
+    ``kernel_eval`` vanishes at them, with its comparisons; the mask is None
+    in 1D, where every sampled offset lies in the support. In 2D the norm is
+    sqrt(u1^2 + u2^2), against r for ``disc``, and the sup-norm decides for
+    ``square``. Leaves ``u`` as it is."""
+    if kernel.dim == 1:
+        return np.abs(u[0]), None
+    norm = u[0] * u[0]
+    norm += u[1] * u[1]
+    np.sqrt(norm, out=norm)
+    r = kernel.support_radius
+    if kernel.kind is KernelKind.SQUARE2D:
+        return norm, (u[0] > r) | (u[0] < -r) | (u[1] > r) | (u[1] < -r)
+    return norm, norm > r
+
+
 # ---------------------------------------------------------------------------
-# geometric factors: 1D
+# geometric factors
 
 
 def _power_transformed(fn, b: float, p: float):
@@ -263,73 +283,6 @@ def _power_transformed(fn, b: float, p: float):
         return vals
 
     return wrapped
-
-
-@lru_cache(maxsize=4096)
-def _factor_1d(d: int, grid_m: int, kind: KernelKind, kernel_n: int, method: str,
-               g: int, nsamples: int, seed: int, p: float):
-    """Unordered-pair weight for cells at index distance d: the kernel-weighted
-    integral of 1/|x-y|^p over the cell pair, both orientations included."""
-    kernel = Kernel(kind, kernel_n)
-    h = 1.0 / grid_m
-    height = kernel.height
-    r = kernel.support_radius
-    lo = max((d - 1) * h, 0.0)
-    hi = min((d + 1) * h, r)
-    if hi <= lo:
-        return 0.0, 0.0
-
-    def integrand(u):
-        # overwrites u
-        uu = np.maximum(u, 1e-300)
-        uu **= p
-        vals = _tent(u, d, h)
-        vals *= 2.0 * height
-        vals /= uu
-        return vals
-
-    singular = d == 1 and p > 1.0 and lo == 0.0
-    # the correlation of two adjacent cells vanishes linearly at the origin,
-    # so against the radial measure rho^(dim-1) the integral of rho^(-p)
-    # diverges from p = dim + 1 on
-    if singular and p >= 2.0:
-        raise ValueError("the adjacent-pair factor diverges for p >= 2 in 1D")
-    if method == GAUSS:
-        inner = sorted({x for x in (lo, d * h, hi) if lo <= x <= hi})
-        edges = np.asarray(inner)
-        if singular:
-            # first panel [0, e1] via the power substitution, rest plainly
-            first = _power_transformed(integrand, edges[1], p)
-            val = _gauss_on_panels(first, np.array([0.0, 1.0]), g)
-            val_f = _gauss_on_panels(first, _refine(np.array([0.0, 1.0])), g)
-            if edges.size > 2:
-                val += _gauss_on_panels(integrand, edges[1:], g)
-                val_f += _gauss_on_panels(integrand, _refine(edges[1:]), g)
-        else:
-            val = _gauss_on_panels(integrand, edges, g)
-            val_f = _gauss_on_panels(integrand, _refine(edges), g)
-        return val_f, abs(val_f - val)
-
-    key = (seed, d)
-    if singular:
-        split = d * h if lo < d * h < hi else hi
-        axes = [np.linspace(0.0, 1.0, _STRATA + 1)]
-        v1, e1 = _stratified_mc(_power_transformed(integrand, split, p), axes,
-                                nsamples // 2, key)
-        v2, e2 = (0.0, 0.0)
-        if split < hi:
-            # the second piece draws from where the first one ended
-            boxes, per, _ = _strata(axes, nsamples // 2)
-            v2, e2 = _stratified_mc(integrand,
-                                    [np.linspace(split, hi, _STRATA + 1)],
-                                    nsamples // 2, key, len(boxes) * per)
-        return v1 + v2, math.hypot(e1, e2)
-    return _stratified_mc(integrand, [np.linspace(lo, hi, _STRATA + 1)],
-                          nsamples, key)
-
-
-# ---------------------------------------------------------------------------
-# geometric factors: 2D
 
 
 def _kink_angles(knots_x, knots_y, kernel: Kernel) -> np.ndarray:
@@ -385,46 +338,82 @@ def _polar_factor(dx: int, dy: int, h: float, kernel: Kernel, g: int,
 
 
 @lru_cache(maxsize=4096)
-def _factor_2d(dx: int, dy: int, grid_n: int, kind: KernelKind, kernel_n: int,
-               method: str, g: int, nsamples: int, seed: int, p: float):
-    """Unordered-pair weight for cells at the canonical offset (dx, dy),
-    dx >= dy >= 0, both orientations."""
+def _factor(offset: tuple, grid_n: int, kind: KernelKind, kernel_n: int, method: str,
+            g: int, nsamples: int, seed: int, p: float):
+    """Unordered-pair weight for cells at the canonical offset ``(d,)`` or
+    ``(dx, dy)``, dx >= dy >= 0: the kernel-weighted integral of 1/|x-y|^p
+    over the cell pair, both orientations included.
+
+    Both dimensions share this one cached routine and one MC integrand over
+    the tent support box clipped to the kernel bounding box, in ``_STRATA``
+    boxes: 16 strata in 1D, 4 x 4 in 2D. Its stream is that of (seed, d) in
+    1D and of (seed, 1024 dx + dy) in 2D, the streams that every pinned
+    factor was recorded with.
+    """
     kernel = Kernel(kind, kernel_n)
+    dim = len(offset)
     h = 1.0 / grid_n
     r = kernel.support_radius
-    if not in_reach(kernel, grid_n, (dx, dy)):
+    if not in_reach(kernel, grid_n, offset):
         return 0.0, 0.0
-    # diverges from p = dim + 1 on, as in _factor_1d
-    if p >= 3.0 and dx <= 1 and dy <= 1:
-        raise ValueError("the touching-pair factor diverges for p >= 3 in 2D")
+    # the correlation of two touching cells vanishes linearly at the origin,
+    # so against the radial measure rho^(dim-1) the integral of rho^(-p)
+    # diverges from p = dim + 1 on
+    touching = max(offset) <= 1
+    if touching and p >= dim + 1:
+        raise ValueError(f"the touching-pair factor diverges for p >= {dim + 1} "
+                         f"in {dim}D")
 
-    if method == GAUSS:
-        val = _polar_factor(dx, dy, h, kernel, g, theta_split=2, p=p)
-        val_f = _polar_factor(dx, dy, h, kernel, g, theta_split=3, p=p)
-        return val_f, abs(val_f - val)
-
-    # MC over the tent support box clipped to the kernel bounding box
-    xlo, xhi = max((dx - 1) * h, -r), min((dx + 1) * h, r)
-    ylo, yhi = max((dy - 1) * h, -r), min((dy + 1) * h, r)
-
-    def integrand(ux, uy):
-        # overwrites ux and uy
-        norm = ux * ux
-        norm += uy * uy
-        np.sqrt(norm, out=norm)
+    def integrand(*u):
+        # overwrites every array of u
+        norm, outside = _norm_outside(kernel, u)
         np.maximum(norm, 1e-300, out=norm)
-        # the floor at 1e-300 moves no norm across r
-        outside = _kernel_outside_2d(kernel, ux, uy, norm)
-        vals = _tent(ux, dx, h)
-        vals *= 2.0 * kernel.height
-        vals *= _tent(uy, dy, h)
         norm **= p
+        vals = _tent(u[0], offset[0], h)
+        vals *= 2.0 * kernel.height
+        for ua, o in zip(u[1:], offset[1:]):
+            vals *= _tent(ua, o, h)
         vals /= norm
-        vals[outside] = 0.0
+        if outside is not None:
+            vals[outside] = 0.0
         return vals
 
-    axes = [np.linspace(xlo, xhi, 5), np.linspace(ylo, yhi, 5)]
-    return _stratified_mc(integrand, axes, nsamples, (seed, 1024 * dx + dy))
+    bounds = [(max((o - 1) * h, -r), min((o + 1) * h, r)) for o in offset]
+    lo, hi = bounds[0]
+    # the adjacent 1D pair at p > 1: u^(1-p) at the origin
+    singular = dim == 1 and touching and p > 1.0
+    if method == GAUSS:
+        if dim == 2:
+            val, val_f = (_polar_factor(*offset, h, kernel, g, split, p) for split in (2, 3))
+            return val_f, abs(val_f - val)
+        edges = np.array(sorted({x for x in (lo, offset[0] * h, hi) if lo <= x <= hi}))
+        pieces = [(integrand, edges)]
+        if singular:
+            # first panel [0, e1] via the power substitution, rest plainly
+            # (no panel when e1 is the end)
+            pieces = [(_power_transformed(integrand, edges[1], p), np.array([0.0, 1.0])),
+                      (integrand, edges[1:])]
+        val = sum(_gauss_on_panels(fn, e, g) for fn, e in pieces)
+        val_f = sum(_gauss_on_panels(fn, _refine(e), g) for fn, e in pieces)
+        return val_f, abs(val_f - val)
+
+    key = (seed, offset[0] if dim == 1 else 1024 * offset[0] + offset[1])
+    if singular:
+        split = min(h, hi)
+        axes = [np.linspace(0.0, 1.0, _STRATA + 1)]
+        v1, e1 = _stratified_mc(_power_transformed(integrand, split, p), axes,
+                                nsamples // 2, key)
+        v2, e2 = (0.0, 0.0)
+        if split < hi:
+            # the second piece draws from where the first one ended
+            boxes, per, _ = _strata(axes, nsamples // 2)
+            v2, e2 = _stratified_mc(integrand,
+                                    [np.linspace(split, hi, _STRATA + 1)],
+                                    nsamples // 2, key, len(boxes) * per)
+        return v1 + v2, math.hypot(e1, e2)
+    strata = round(_STRATA ** (1 / dim))
+    return _stratified_mc(integrand, [np.linspace(lo, hi, strata + 1) for lo, hi in bounds],
+                          nsamples, key)
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +428,15 @@ def _canonical(offset: tuple) -> tuple:
 def _pair_factor(offset: tuple, grid_n: int, kernel: Kernel, cfg: OracleConfig,
                  nsamples: int):
     """(factor, error) of the cell pairs at a 1D or 2D offset."""
-    factor = _factor_1d if len(offset) == 1 else _factor_2d
+    if len(offset) != kernel.dim:
+        raise ValueError(f"a {len(offset)}D offset needs a {len(offset)}D kernel, "
+                         f"got {kernel.kind.value}")
     seed = cfg.seed
     if cfg.method == GAUSS:
         # Gauss uses neither, so every sample budget shares one cache entry
         nsamples, seed = 0, 0
-    return factor(*_canonical(offset), grid_n, kernel.kind, kernel.n, cfg.method,
-                  cfg.points_per_cell_axis, nsamples, seed, cfg.p)
+    return _factor(_canonical(offset), grid_n, kernel.kind, kernel.n, cfg.method,
+                   cfg.points_per_cell_axis, nsamples, seed, cfg.p)
 
 
 def _eval_piecewise_constant(a: np.ndarray, kernel: Kernel,
@@ -537,17 +528,6 @@ def _curve_gauss_1d(func, knots: np.ndarray, kernel: Kernel, cfg: OracleConfig,
     return EvalReport(max(value, 0.0), 0.0, abs(near - far))
 
 
-def _kernel_outside_2d(kernel: Kernel, u1: np.ndarray, u2: np.ndarray,
-                       norm: np.ndarray) -> np.ndarray:
-    """Where ``kernel_eval`` vanishes at the points (u1, u2), with its
-    comparisons: the Euclidean norm ``norm`` = sqrt(u1^2 + u2^2) against r
-    for ``disc`` and the sup-norm for ``square``. No temporary float array."""
-    r = kernel.support_radius
-    if kernel.kind is KernelKind.SQUARE2D:
-        return (u1 > r) | (u1 < -r) | (u2 > r) | (u2 < -r)
-    return norm > r
-
-
 def _curve_mc(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     """MC of a 1D or 2D curve over the offset u = x - y and the point x."""
     dim = kernel.dim
@@ -558,15 +538,10 @@ def _curve_mc(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     def integrand(*arrays):
         # overwrites every array; y lands in u and the values in the last x
         u, x = arrays[:dim], arrays[dim:]
-        if dim == 1:
-            norm = np.abs(u[0])
-        else:
-            norm = u[0] * u[0]
-            norm += u[1] * u[1]
-            np.sqrt(norm, out=norm)
+        norm, outside = _norm_outside(kernel, u)
         ok = norm != 0.0
-        if dim == 2:
-            ok &= ~_kernel_outside_2d(kernel, *u, norm)
+        if outside is not None:
+            ok &= ~outside
         for xi, y in zip(x, u):
             np.subtract(xi, y, out=y)
             ok &= (y > 0.0) & (y < 1.0)

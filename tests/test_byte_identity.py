@@ -155,25 +155,33 @@ def test_mc_oracle_report_is_pinned(name):
     assert (report.value.hex(), report.stderr_estimate.hex()) == MC_GOLDEN[name]
 
 
-# float.hex() of (value, error) of Monte Carlo geometric factors: the 1D
+# float.hex() of (value, error) of geometric factors. Monte Carlo: the 1D
 # adjacent pair at p = 1.5 (singular, sampled in two pieces), a 1D pair at
-# distance 2 and two 2D square-kernel offsets
+# distance 2, two 2D square-kernel offsets and a disc-kernel offset that the
+# disc cuts (the norm > r mask). Gauss: the 1D adjacent pair at p = 1.5 (the
+# power substitution and a second panel) and a 2D disc offset in polar
+# coordinates.
 FACTOR_GOLDEN = {
     "1d-singular": ("0x1.a81f9d3bbadd0p+1", "0x1.82a3fb40e60e6p-13"),
     "1d-d2": ("0x1.5f683c419f2a1p-2", "0x1.989e58143e2bcp-15"),
     "2d-square-10": ("0x1.7ad421048c3c3p-6", "0x1.ce3b3c457f888p-15"),
     "2d-square-21": ("0x1.619f1dce26b15p-8", "0x1.1ec0202a78ed6p-17"),
+    "2d-disc-21": ("0x1.01502c8023a10p-8", "0x1.d3e460990acc9p-17"),
+    "gauss-1d-singular": ("0x1.a827999fcef6ap+1", "0x1.be88000000000p-38"),
+    "gauss-2d-disc-21": ("0x1.00e9084b9ae6dp-8", "0x1.0000000000000p-60"),
 }
 
 
 def _factor(name):
-    if name.startswith("1d"):
-        cfg = OracleConfig(method="mc", p=1.5, samples=50_000, seed=3)
-        return geometric_factor_1d(1 if name == "1d-singular" else 2, 8,
+    method = "gauss" if name.startswith("gauss") else "mc"
+    if "1d" in name:
+        cfg = OracleConfig(method=method, p=1.5, samples=50_000, seed=3)
+        return geometric_factor_1d(2 if name == "1d-d2" else 1, 8,
                                    Kernel(KernelKind.BOX1D, 4), cfg)
-    cfg = OracleConfig(method="mc", samples=50_000, seed=3)
+    cfg = OracleConfig(method=method, samples=50_000, seed=3)
+    kind = KernelKind.SQUARE2D if "square" in name else KernelKind.DISC2D
     return geometric_factor_2d((1, 0) if name == "2d-square-10" else (2, 1), 6,
-                               Kernel(KernelKind.SQUARE2D, 3), cfg)
+                               Kernel(kind, 3), cfg)
 
 
 @pytest.mark.parametrize("name", sorted(FACTOR_GOLDEN))

@@ -128,6 +128,15 @@ def test_read_signal_csv(tmp_path):
         read_signal_csv(str(empty))
 
 
+def test_read_signal_csv_skips_a_byte_order_mark(tmp_path):
+    # a leading BOM must not turn the first value into a skipped header
+    path = tmp_path / "bom.csv"
+    path.write_text("0.5\n1.0\n2.0\n", encoding="utf-8-sig")
+    assert read_signal_csv(str(path)).tolist() == [0.5, 1.0, 2.0]
+    path.write_text("value\n0.5\n1.0\n", encoding="utf-8-sig")
+    assert read_signal_csv(str(path)).tolist() == [0.5, 1.0]
+
+
 def test_write_signal_csv_matches_per_value_loop(tmp_path):
     rng = np.random.default_rng(41)
     values = rng.standard_normal(16_384) * 10.0 ** rng.integers(-300, 300, 16_384)

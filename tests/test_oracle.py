@@ -25,13 +25,12 @@ from nltv import (
 from nltv import oracle
 from nltv.oracle import (
     _curve_breaks,
-    _factor_1d,
-    _factor_2d,
+    _factor,
     _gauss_on_panels,
     _gauss_rule,
-    _kernel_outside_2d,
     _kink_angles,
     _moments,
+    _norm_outside,
     _polar_factor,
     _refine,
     _stratified_mc,
@@ -211,7 +210,8 @@ def test_kernel_values_2d_match_kernel_eval(kind):
     u2 = np.concatenate([r * np.sin(theta), grid_y.ravel(),
                          rng.uniform(-2 * r, 2 * r, 2000)])
     expected = [kernel_eval(kernel, (a, b)) for a, b in zip(u1, u2)]
-    outside = _kernel_outside_2d(kernel, u1, u2, np.sqrt(u1 * u1 + u2 * u2))
+    norm, outside = _norm_outside(kernel, (u1, u2))
+    assert np.array_equal(norm, np.sqrt(u1 * u1 + u2 * u2))
     assert np.array_equal(np.where(outside, 0.0, kernel.height), expected)
     if kind is KernelKind.DISC2D:
         squared = u1 * u1 + u2 * u2 <= r * r
@@ -225,14 +225,13 @@ def test_kernel_values_2d_match_kernel_eval(kind):
 def test_gauss_factors_are_shared_between_eval_and_stencil(f, kernel):
     # Gauss ignores the sample budget and the seed, so oracle_eval (budget
     # split over the offsets) and oracle_terms (whole budget) share factors
-    factor = _factor_1d if kernel.dim == 1 else _factor_2d
     cfg = OracleConfig(method="gauss", samples=50_000, seed=4)
     grid_n = f.coeffs.shape[0]
     value = oracle_eval(f, kernel, cfg).value
-    misses = factor.cache_info().misses
+    misses = _factor.cache_info().misses
     terms = oracle_terms(kernel, grid_n, cfg)
-    assert factor.cache_info().misses == misses
-    factor.cache_clear()
+    assert _factor.cache_info().misses == misses
+    _factor.cache_clear()
     assert oracle_terms(kernel, grid_n, replace(cfg, seed=9)) == terms
     assert oracle_eval(f, kernel, cfg).value == value
 
@@ -260,6 +259,13 @@ def test_dimension_and_exponent_errors():
                     OracleConfig(method="gauss", p=3.0))
     with pytest.raises(TypeError):
         oracle_eval("not a function", BOX, OracleConfig(method="gauss"))
+    # a pair factor needs a kernel of the offset's dimension
+    with pytest.raises(ValueError, match="kernel"):
+        geometric_factor_1d(1, 8, Kernel(KernelKind.DISC2D, 8), OracleConfig(method="gauss"))
+    for method in ("gauss", "mc"):
+        with pytest.raises(ValueError, match="kernel"):
+            geometric_factor_2d((1, 0), 8, Kernel(KernelKind.BOX1D, 8),
+                                OracleConfig(method=method))
 
 
 def test_fractional_exponent_pc():
@@ -315,7 +321,7 @@ def test_fit_stencil_recovers_closed_forms():
 
 
 # The Monte Carlo loops that _stratified_mc replaced, kept as references: the
-# 1D sampler of _factor_1d, the 4x4 loop of _factor_2d and the one-box
+# 1D sampler and the 4x4 loop of the pair factors and the one-box
 # estimator that 2D callables had before they were stratified over u.
 
 
@@ -710,8 +716,8 @@ def test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p
     for nsamples in (50_000, 32 * 3, 32 * 1001):
         for grid_m, kscale in [(8, 4), (8, 16)]:
             kernel = Kernel(KernelKind.BOX1D, kscale)
-            got = _factor_1d.__wrapped__(1, grid_m, kernel.kind, kernel.n, "mc", 8,
-                                         nsamples, 3, p)
+            got = _factor.__wrapped__((1,), grid_m, kernel.kind, kernel.n, "mc", 8,
+                                      nsamples, 3, p)
             assert (_hex_pair(got)
                     == _hex_pair(_old_singular_factor_1d(grid_m, kernel, nsamples, 3, p)))
 
