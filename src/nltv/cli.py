@@ -74,6 +74,8 @@ def read_signal_csv(path: str) -> np.ndarray:
             lines = fh.readlines()
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -229,99 +231,102 @@ def _report_header(options: dict) -> str:
 # argument parsing
 
 
+def _at_least(cast, low, strict=False):
+    """An argparse type: the flag as ``cast``, finite and at least ``low``
+    (above it if ``strict``). An int compares with inf exactly, so an integer
+    beyond the float range passes."""
+    def parse(text):
+        value = cast(text)
+        if not low <= value < math.inf or strict and value == low:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low:g}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+def _scale_list(text: str) -> list:
+    try:
+        scales = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad list: {text!r}") from None
+    if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
+        raise argparse.ArgumentTypeError("must be strictly increasing")
+    return scales
+
+
+_POSITIVE = _at_least(float, 0.0, strict=True)
+_COUNT = _at_least(int, 1)
+
+# each 1D family: its element type, closed form, matched kernel, and the
+# nodes its element holds beyond the n cells
+_FAMILIES_1D = {
+    "pc": (PiecewiseConstant1D, eval_pc_box, KernelKind.BOX1D, 0),
+    "pc-wide": (PiecewiseConstant1D, eval_pc_box_wide, KernelKind.BOX1D_WIDE, 0),
+    "spline": (Spline1D, eval_spline, KernelKind.BOX1D, 1),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nltv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a closed-form scheme")
     p_eval.add_argument("--family", required=True,
-                        choices=["pc", "pc-wide", "spline", "haar", "image"])
+                        choices=[*_FAMILIES_1D, "haar", "image"])
     p_eval.add_argument("--input", help="CSV signal or PGM image")
     p_eval.add_argument("--kernel", choices=["disc", "square"], default="disc",
                         help="kernel for --family image")
-    p_eval.add_argument("--scale", type=int, help="kernel scale for --family haar")
+    p_eval.add_argument("--scale", type=_COUNT, help="kernel scale for --family haar")
     p_eval.add_argument("--k", type=int, help="Haar level")
     p_eval.add_argument("--j", type=int, help="Haar position")
 
     p_table = sub.add_parser("table", help="emit golden value tables")
     p_table.add_argument("what", choices=["haar"])
-    p_table.add_argument("--kmax", type=int, required=True)
-    p_table.add_argument("--nmax", type=int, required=True)
+    p_table.add_argument("--kmax", type=_at_least(int, 0), required=True)
+    p_table.add_argument("--nmax", type=_COUNT, required=True)
     p_table.add_argument("--out", help="output CSV (default stdout)")
 
     p_verify = sub.add_parser("verify",
                               help="closed form vs oracle on a seeded random input")
-    p_verify.add_argument("--family", required=True,
-                          choices=["pc", "pc-wide", "spline", "image"])
+    p_verify.add_argument("--family", required=True, choices=[*_FAMILIES_1D, "image"])
     p_verify.add_argument("--kernel", choices=["disc", "square"], default="disc")
-    p_verify.add_argument("--n", type=int, required=True, help="grid size")
+    p_verify.add_argument("--n", type=_at_least(int, 2), required=True, help="grid size")
     p_verify.add_argument("--samples", type=int, default=100_000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--method", choices=["mc", "gauss"], default="mc")
-    p_verify.add_argument("--tol", type=float, default=1e-2,
+    p_verify.add_argument("--tol", type=_POSITIVE, default=1e-2,
                           help="relative disagreement threshold")
 
     p_den = sub.add_parser("denoise", help="minimize the regularized energy")
-    p_den.add_argument("--input", required=True, help="CSV signal or PGM image")
-    p_den.add_argument("--alpha", type=float, required=True)
-    p_den.add_argument("--p", type=float, default=1.0)
+    p_gamma = sub.add_parser("gamma", help="kernel-scale convergence experiment")
+    for cmd, tol, source in ((p_den, 1e-8, "CSV signal or PGM image"),
+                             (p_gamma, 1e-10, "CSV signal")):
+        cmd.add_argument("--input", required=True, help=source)
+        cmd.add_argument("--alpha", type=_POSITIVE, required=True)
+        cmd.add_argument("--p", type=_at_least(float, 1.0), default=1.0)
+        cmd.add_argument("--tol", type=_POSITIVE, default=tol)
+        cmd.add_argument("--max-iter", type=_COUNT, default=100_000)
+        cmd.add_argument("--out", required=True)
     p_den.add_argument("--kernel", choices=[k.value for k in KernelKind],
                        help="default: box for 1D input, disc for 2D input")
-    p_den.add_argument("--scale", type=int,
+    p_den.add_argument("--scale", type=_COUNT,
                        help="kernel scale (default: matched to the grid)")
     p_den.add_argument("--solver", choices=["pd", "smooth"], default="pd")
-    p_den.add_argument("--tol", type=float, default=1e-8)
-    p_den.add_argument("--max-iter", type=int, default=100_000)
-    p_den.add_argument("--out", required=True)
     p_den.add_argument("--trace", help="optional per-iteration energy CSV")
-
-    p_gamma = sub.add_parser("gamma", help="kernel-scale convergence experiment")
-    p_gamma.add_argument("--input", required=True, help="CSV signal")
-    p_gamma.add_argument("--alpha", type=float, required=True)
-    p_gamma.add_argument("--p", type=float, default=1.0)
-    p_gamma.add_argument("--scales", required=True,
+    p_gamma.add_argument("--scales", type=_scale_list, required=True,
                          help="comma-separated increasing kernel scales")
-    p_gamma.add_argument("--tol", type=float, default=1e-10)
-    p_gamma.add_argument("--max-iter", type=int, default=100_000)
-    p_gamma.add_argument("--out", required=True)
     return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
     """Validated run configuration (raises UsageError on any bad flag)."""
     args = build_parser().parse_args(argv)
-    if args.command == "eval":
-        if args.family == "haar":
-            if args.k is None or args.j is None or args.scale is None:
-                raise UsageError("--family haar needs --k, --j and --scale")
-            if args.scale < 1:
-                raise UsageError("--scale must be a positive integer")
-        elif args.input is None:
-            raise UsageError(f"--family {args.family} needs --input")
-    if args.command == "table" and (args.kmax < 0 or args.nmax < 1):
-        raise UsageError("need --kmax >= 0 and --nmax >= 1")
-    if args.command == "verify":
-        if args.n < 2:
-            raise UsageError("--n must be at least 2")
-        if not args.tol > 0:
-            raise UsageError("--tol must be positive")
-    if args.command in ("denoise", "gamma"):
-        if not args.alpha > 0:
-            raise UsageError("alpha must be positive")
-        if not 1 <= args.p < math.inf:
-            raise UsageError("p must be >= 1 and finite")
-        if not args.tol > 0 or args.max_iter < 1:
-            raise UsageError("solver tolerances must be positive")
-    if args.command == "denoise" and args.scale is not None and args.scale < 1:
-        raise UsageError("--scale must be a positive integer")
-    if args.command == "gamma":
-        try:
-            scales = [int(s) for s in args.scales.split(",") if s.strip()]
-        except ValueError:
-            raise UsageError(f"bad --scales list: {args.scales!r}") from None
-        if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
-            raise UsageError("--scales must be strictly increasing")
-        args.scale_list = scales
+    if args.command == "eval" and args.family == "haar":
+        if None in (args.k, args.j, args.scale):
+            raise UsageError("--family haar needs --k, --j and --scale")
+    elif args.command == "eval" and args.input is None:
+        raise UsageError(f"--family {args.family} needs --input")
     return args
 
 
@@ -336,13 +341,8 @@ def _cmd_eval(args) -> int:
         arr, _ = read_pgm(args.input)
         value = eval_image(image_from_pgm(arr), KernelKind(args.kernel))
     else:
-        signal = read_signal_csv(args.input)
-        if args.family == "pc":
-            value = eval_pc_box(PiecewiseConstant1D(signal))
-        elif args.family == "pc-wide":
-            value = eval_pc_box_wide(PiecewiseConstant1D(signal))
-        else:
-            value = eval_spline(Spline1D(signal))
+        element, closed, _, _ = _FAMILIES_1D[args.family]
+        value = closed(element(read_signal_csv(args.input)))
     print(format(value, ".12g"))
     return 0
 
@@ -372,13 +372,9 @@ def _verify_input(args):
         img = Image2D(rng.uniform(0.0, 1.0, (args.n, args.n)))
         kind = KernelKind(args.kernel)
         return img, Kernel(kind, args.n), eval_image(img, kind)
-    if args.family == "spline":
-        spline = Spline1D(rng.uniform(0.0, 1.0, args.n + 1))
-        return spline, Kernel(KernelKind.BOX1D, args.n), eval_spline(spline)
-    pc = PiecewiseConstant1D(rng.uniform(0.0, 1.0, args.n))
-    if args.family == "pc-wide":
-        return pc, Kernel(KernelKind.BOX1D_WIDE, args.n), eval_pc_box_wide(pc)
-    return pc, Kernel(KernelKind.BOX1D, args.n), eval_pc_box(pc)
+    element, closed, kind, extra = _FAMILIES_1D[args.family]
+    f = element(rng.uniform(0.0, 1.0, args.n + extra))
+    return f, Kernel(kind, args.n), closed(f)
 
 
 def _cmd_verify(args) -> int:
@@ -406,15 +402,12 @@ def _cmd_denoise(args) -> int:
     if pgm_out and dim != 2:
         raise UsageError("PGM output requires a 2D input")
     kernel_name = args.kernel or ("box" if dim == 1 else "disc")
-    kind = KernelKind(kernel_name)
-    kernel = Kernel(kind, args.scale if args.scale is not None else values.shape[0])
+    kernel = Kernel(KernelKind(kernel_name), args.scale or values.shape[0])
     if kernel.dim != dim:
         raise UsageError(f"kernel {kernel_name!r} is {kernel.dim}D but the "
                          f"input is {dim}D")
-    if kernel.n == values.shape[0]:
-        scheme = SCHEME_CLOSED_1D if dim == 1 else SCHEME_CLOSED_2D
-    else:
-        scheme = SCHEME_ORACLE
+    closed = SCHEME_CLOSED_1D if dim == 1 else SCHEME_CLOSED_2D
+    scheme = closed if kernel.n == values.shape[0] else SCHEME_ORACLE
     data = DataTerm.of(values)
     params = EnergyParams(p=args.p, alpha=args.alpha, kernel=kernel,
                           grid_n=values.shape[0], scheme=scheme)
@@ -444,9 +437,9 @@ def _cmd_gamma(args) -> int:
     values = read_signal_csv(args.input)
     data = DataTerm.of(values)
     solver = SolverConfig(tol=args.tol, max_iter=args.max_iter)
-    rows = gamma_experiment(data, args.p, args.alpha, args.scale_list, solver)
+    rows = gamma_experiment(data, args.p, args.alpha, args.scales, solver)
     options = {"command": "gamma", "input": args.input, "alpha": args.alpha,
-               "p": args.p, "scales": tuple(args.scale_list),
+               "p": args.p, "scales": tuple(args.scales),
                "tol": args.tol, "max_iter": args.max_iter}
     lines = [_report_header(options), "scale,l1_distance,iterations,converged"]
     for row in rows:
@@ -473,14 +466,11 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (InputFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # library-level precondition failures surface as usage errors
+    except (UsageError, ValueError) as exc:
+        # bad flags, and library-level precondition failures, are usage errors
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,6 @@ and of (seed, 1024 dx + dy) in 2D, the streams of every pinned estimate.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -149,10 +148,6 @@ def _refine(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _per_box(nsamples: int, boxes: int) -> int:
-    return max(2, nsamples // boxes)
-
-
 def _threads(boxes: int, draws: int) -> int:
     """Threads for ``boxes`` boxes cut from strata of ``draws`` raw draws
     each: one below ``_THREAD_DRAWS`` draws per stratum, else one per
@@ -173,27 +168,30 @@ def _moments(vals: np.ndarray):
 
 
 def _strata(axes, nsamples: int):
-    """The boxes of ``nsamples`` points over the product grid of ``axes``,
-    first axis outermost, once each interval of the first axis is cut evenly
-    into the fewest pieces that hold at most ``_CHUNK`` points; returns them,
-    the points per box and the pieces per interval."""
-    per = _per_box(nsamples, math.prod(len(e) - 1 for e in axes))
+    """The strata of ``nsamples`` points over the product grid of ``axes``
+    once each interval of the first axis is cut evenly into the fewest
+    pieces that hold at most ``_CHUNK`` points: returns the cut axes, the
+    number of boxes, the points per box and the pieces per interval."""
+    # at least two points a box, for its standard deviation
+    per = max(2, nsamples // math.prod(len(e) - 1 for e in axes))
     cut = -(-per // _CHUNK)
     e = np.asarray(axes[0], dtype=float)
     e = np.append(np.linspace(e[:-1], e[1:], cut, endpoint=False, axis=1), e[-1])
-    boxes = list(itertools.product(*(zip(a[:-1], a[1:]) for a in [e, *axes[1:]])))
-    return boxes, _per_box(nsamples, len(boxes)), cut
+    axes = [e, *axes[1:]]
+    boxes = math.prod(len(a) - 1 for a in axes)
+    return axes, boxes, max(2, nsamples // boxes), cut
 
 
 def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
     """Stratified uniform MC of a vectorized integrand of len(axes) variables.
 
     ``axes`` holds one edge list per axis; the strata are the boxes of
-    ``_strata``, so each holds at most ``_CHUNK`` points. In box order, each
-    box takes its share of the budget once per axis, in axis order, from the
-    stream of ``key`` = (seed, task) starting at raw draw ``start``. ``fn``
-    is called once per box on one draw array per axis, reused by its thread
-    for every box; it may overwrite them, and the moments overwrite its values.
+    ``_strata``, so each holds at most ``_CHUNK`` points. In box order, first
+    axis outermost, each box takes its share of the budget once per axis, in
+    axis order, from the stream of ``key`` = (seed, task) starting at raw
+    draw ``start``. ``fn`` is called once per box on one draw array per
+    axis, reused by its thread for every box; it may overwrite them, and the
+    moments overwrite its values.
 
     The boxes are cut into one contiguous run per thread, and each run
     starts its own copy of the stream at its first draw. Budgets of at least
@@ -203,35 +201,40 @@ def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
     order, so the thread count does not change the result. Returns the
     estimate and its standard error.
     """
-    boxes, per, cut = _strata(axes, nsamples)
+    axes, boxes, per, cut = _strata(axes, nsamples)
+    shape = [len(a) - 1 for a in axes]
     draws = len(axes) * per
+
+    def bounds(b):
+        # box b's (lo, hi) on each axis, derived from b: no list of boxes
+        return [(a[i], a[i + 1]) for a, i in zip(axes, np.unravel_index(b, shape))]
+
+    moments = np.empty((boxes, 2))  # each box's mean and std
 
     def run(first, last):
         bufs = [np.empty(per) for _ in axes]
         rng = _stream(*key, start + first * draws)
-        moments = []
-        for box in boxes[first:last]:
+        for b in range(first, last):
             # the draws and arithmetic of rng.uniform(lo, hi, per)
-            for buf, (lo, hi) in zip(bufs, box):
+            for buf, (lo, hi) in zip(bufs, bounds(b)):
                 rng.random(out=buf)
                 buf *= hi - lo
                 buf += lo
-            moments.append(_moments(fn(*bufs)))
-        return moments
+            moments[b] = _moments(fn(*bufs))
 
-    threads = _threads(len(boxes), cut * draws)
+    threads = _threads(boxes, cut * draws)
     if threads == 1:
-        runs = [run(0, len(boxes))]
+        run(0, boxes)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        cuts = [len(boxes) * k // threads for k in range(threads + 1)]
+        cuts = [boxes * k // threads for k in range(threads + 1)]
         with ThreadPoolExecutor(threads) as pool:
-            runs = list(pool.map(run, cuts[:-1], cuts[1:]))
+            list(pool.map(run, cuts[:-1], cuts[1:]))  # re-raises a run's error
     total = 0.0
     var = 0.0
-    for box, (mean, std) in zip(boxes, itertools.chain.from_iterable(runs)):
-        vol = math.prod(hi - lo for lo, hi in box)
+    for b, (mean, std) in enumerate(moments.tolist()):
+        vol = math.prod(hi - lo for lo, hi in bounds(b))
         total += vol * mean
         var += (vol * std / math.sqrt(per)) ** 2
     return float(total), math.sqrt(var)
@@ -378,42 +381,36 @@ def _factor(offset: tuple, grid_n: int, kind: KernelKind, kernel_n: int, method:
             vals[outside] = 0.0
         return vals
 
+    key = (seed, offset[0] if dim == 1 else 1024 * offset[0] + offset[1])
     bounds = [(max((o - 1) * h, -r), min((o + 1) * h, r)) for o in offset]
-    lo, hi = bounds[0]
-    # the adjacent 1D pair at p > 1: u^(1-p) at the origin
-    singular = dim == 1 and touching and p > 1.0
-    if method == GAUSS:
-        if dim == 2:
+    if dim == 2:
+        if method == GAUSS:
             val, val_f = (_polar_factor(*offset, h, kernel, g, split, p) for split in (2, 3))
             return val_f, abs(val_f - val)
-        edges = np.array(sorted({x for x in (lo, offset[0] * h, hi) if lo <= x <= hi}))
-        pieces = [(integrand, edges)]
-        if singular:
-            # first panel [0, e1] via the power substitution, rest plainly
-            # (no panel when e1 is the end)
-            pieces = [(_power_transformed(integrand, edges[1], p), np.array([0.0, 1.0])),
-                      (integrand, edges[1:])]
+        return _stratified_mc(integrand, [np.linspace(lo, hi, math.isqrt(_STRATA) + 1)
+                                          for lo, hi in bounds], nsamples, key)
+    lo, hi = bounds[0]
+    edges = np.array(sorted({x for x in (lo, offset[0] * h, hi) if lo <= x <= hi}))
+    pieces = [(integrand, edges)]
+    if touching and p > 1.0:
+        # u^(1-p) at the origin: the first panel [0, e1] via the power
+        # substitution, the rest plainly (no panel when e1 is the end)
+        pieces = [(_power_transformed(integrand, edges[1], p), np.array([0.0, 1.0])),
+                  (integrand, edges[1:])]
+    if method == GAUSS:
         val = sum(_gauss_on_panels(fn, e, g) for fn, e in pieces)
         val_f = sum(_gauss_on_panels(fn, _refine(e), g) for fn, e in pieces)
         return val_f, abs(val_f - val)
-
-    key = (seed, offset[0] if dim == 1 else 1024 * offset[0] + offset[1])
-    if singular:
-        split = min(h, hi)
-        axes = [np.linspace(0.0, 1.0, _STRATA + 1)]
-        v1, e1 = _stratified_mc(_power_transformed(integrand, split, p), axes,
-                                nsamples // 2, key)
-        v2, e2 = (0.0, 0.0)
-        if split < hi:
-            # the second piece draws from where the first one ended
-            boxes, per, _ = _strata(axes, nsamples // 2)
-            v2, e2 = _stratified_mc(integrand,
-                                    [np.linspace(split, hi, _STRATA + 1)],
-                                    nsamples // 2, key, len(boxes) * per)
-        return v1 + v2, math.hypot(e1, e2)
-    strata = round(_STRATA ** (1 / dim))
-    return _stratified_mc(integrand, [np.linspace(lo, hi, strata + 1) for lo, hi in bounds],
-                          nsamples, key)
+    # each piece takes an equal share and draws from where the one before
+    # it ended; the plain piece is empty when e1 is the end
+    parts, start = [], 0
+    for fn, e in pieces:
+        if e.size > 1:
+            axes = [np.linspace(e[0], e[-1], _STRATA + 1)]
+            parts.append(_stratified_mc(fn, axes, nsamples // len(pieces), key, start))
+            _, boxes, per, _ = _strata(axes, nsamples // len(pieces))
+            start += boxes * per
+    return sum(val for val, _ in parts), math.hypot(*(err for _, err in parts))
 
 
 # ---------------------------------------------------------------------------

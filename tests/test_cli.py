@@ -76,6 +76,39 @@ def test_non_finite_csv_is_an_input_error(tmp_path, capsys, token):
     assert capsys.readouterr().err.count("input error") == 2
 
 
+def test_non_utf8_csv_is_an_input_error(tmp_path, capsys):
+    # a UTF-16 file, with its byte-order mark, used to exit 1 as a usage error
+    sig = tmp_path / "s.csv"
+    sig.write_text("0.5\n0.25\n", encoding="utf-16")
+    with pytest.raises(InputFormatError, match="s.csv"):
+        read_signal_csv(str(sig))
+    assert main(["eval", "--family", "pc", "--input", str(sig)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "pc", "--n", "4", "--tol", "inf"],
+    ["verify", "--family", "pc", "--n", "4", "--tol", "nan"],
+    ["verify", "--family", "pc", "--n", "1"],
+    ["eval", "--family", "pc", "--input", "x.csv", "--scale", "0"],
+    ["table", "haar", "--kmax", "-1", "--nmax", "4"],
+    ["table", "haar", "--kmax", "1", "--nmax", "0"],
+    ["denoise", "--input", "x.csv", "--alpha", "0.1", "--max-iter", "0", "--out", "y.csv"],
+    ["denoise", "--input", "x.csv", "--alpha", "0.1", "--scale", "0", "--out", "y.csv"],
+    ["gamma", "--input", "x.csv", "--alpha", "0.1", "--p", "0.5", "--scales", "2",
+     "--out", "y.csv"],
+    ["gamma", "--input", "x.csv", "--alpha", "0.1", "--scales", "2,x", "--out", "y.csv"],
+], ids=["verify-tol-inf", "verify-tol-nan", "verify-n", "eval-scale", "kmax", "nmax",
+        "max-iter", "denoise-scale", "p", "scales"])
+def test_out_of_range_flags_are_usage_errors_before_any_input_is_read(capsys, argv):
+    # each range is checked as its flag is parsed (an infinite verify --tol
+    # used to pass every verification); x.csv does not exist, so a range
+    # checked after the read would exit 2
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: argument --") and not captured.out
+
+
 @pytest.mark.parametrize("command", ["denoise", "gamma"])
 @pytest.mark.parametrize("flag", ["--alpha", "--tol"])
 @pytest.mark.parametrize("token", ["inf", "nan"])

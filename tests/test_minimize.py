@@ -744,6 +744,16 @@ def test_gamma_step_distances_shrink():
     assert dist[-1] <= dist[0] / 2
 
 
+def test_gamma_2d_distances_are_to_the_finest_scale():
+    # in 2D the limit is the finest scale's own minimizer, so its row reads 0
+    data = DataTerm.of(_disc_image(8, 31))
+    rows = gamma_experiment(data, 1.0, 0.01, [2, 4, 8], SolverConfig(tol=1e-10))
+    dist = [r.distance for r in rows]
+    assert all(r.converged for r in rows)
+    assert all(b <= a for a, b in zip(dist, dist[1:]))
+    assert dist[-1] == 0.0
+
+
 def test_gamma_validation():
     data = DataTerm.of(np.zeros(16))
     with pytest.raises(ValueError):

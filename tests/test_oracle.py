@@ -887,7 +887,7 @@ def _mc_peak(f, kernel, samples):
 def _assert_peak_is_chunks_per_thread(monkeypatch, f, kernel, chunks):
     # two threads, at a budget of 250,000 points per u stratum and at four
     # times that: the peak is a few arrays of one chunk per thread, and only
-    # the list of boxes (about 0.4 KB a box) grows with the budget
+    # the box moments (16 bytes a box) grow with the budget
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     arrays = 2 * oracle._CHUNK * 8
     small = _mc_peak(f, kernel, 16 * 250_000)
