@@ -218,13 +218,9 @@ def image_from_pgm(arr: np.ndarray) -> Image2D:
     return Image2D(arr.copy())
 
 
-def _config_hash(options: dict) -> str:
-    blob = repr(sorted(options.items())).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
 def _report_header(options: dict) -> str:
-    return f"# nltv-version={__version__} config-hash={_config_hash(options)}"
+    digest = hashlib.sha256(repr(sorted(options.items())).encode("utf-8")).hexdigest()
+    return f"# nltv-version={__version__} config-hash={digest[:12]}"
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +262,23 @@ _FAMILIES_1D = {
     "spline": (Spline1D, eval_spline, KernelKind.BOX1D, 1),
 }
 
+# the family flags that each eval and verify --family reads; parse_args
+# refuses the others and requires each one read but --kernel (unset: disc)
+_FAMILY_FLAGS = {
+    "eval": {**dict.fromkeys(_FAMILIES_1D, ("--input",)),
+             "haar": ("--k", "--j", "--scale"), "image": ("--input", "--kernel")},
+    "verify": {**dict.fromkeys(_FAMILIES_1D, ()), "image": ("--kernel",)},
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nltv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a closed-form scheme")
-    p_eval.add_argument("--family", required=True,
-                        choices=[*_FAMILIES_1D, "haar", "image"])
+    p_eval.add_argument("--family", required=True, choices=_FAMILY_FLAGS["eval"])
     p_eval.add_argument("--input", help="CSV signal or PGM image")
-    p_eval.add_argument("--kernel", choices=["disc", "square"], default="disc",
-                        help="kernel for --family image")
+    p_eval.add_argument("--kernel", choices=["disc", "square"], help="kernel for --family image")
     p_eval.add_argument("--scale", type=_COUNT, help="kernel scale for --family haar")
     p_eval.add_argument("--k", type=int, help="Haar level")
     p_eval.add_argument("--j", type=int, help="Haar position")
@@ -289,8 +291,8 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify",
                               help="closed form vs oracle on a seeded random input")
-    p_verify.add_argument("--family", required=True, choices=[*_FAMILIES_1D, "image"])
-    p_verify.add_argument("--kernel", choices=["disc", "square"], default="disc")
+    p_verify.add_argument("--family", required=True, choices=_FAMILY_FLAGS["verify"])
+    p_verify.add_argument("--kernel", choices=["disc", "square"])
     p_verify.add_argument("--n", type=_at_least(int, 2), required=True, help="grid size")
     p_verify.add_argument("--samples", type=int, default=100_000)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -322,11 +324,14 @@ def build_parser() -> _Parser:
 def parse_args(argv) -> argparse.Namespace:
     """Validated run configuration (raises UsageError on any bad flag)."""
     args = build_parser().parse_args(argv)
-    if args.command == "eval" and args.family == "haar":
-        if None in (args.k, args.j, args.scale):
-            raise UsageError("--family haar needs --k, --j and --scale")
-    elif args.command == "eval" and args.input is None:
-        raise UsageError(f"--family {args.family} needs --input")
+    if args.command in _FAMILY_FLAGS:
+        reads = _FAMILY_FLAGS[args.command][args.family]
+        for flag in ("--input", "--kernel", "--scale", "--k", "--j"):
+            if getattr(args, flag[2:], None) is not None and flag not in reads:
+                raise UsageError(f"--family {args.family} does not read {flag}")
+        missing = [f for f in reads if f != "--kernel" and getattr(args, f[2:]) is None]
+        if missing:
+            raise UsageError(f"--family {args.family} needs {', '.join(missing)}")
     return args
 
 
@@ -339,7 +344,7 @@ def _cmd_eval(args) -> int:
         value = eval_haar(HaarIndex(k=args.k, j=args.j), args.scale)
     elif args.family == "image":
         arr, _ = read_pgm(args.input)
-        value = eval_image(image_from_pgm(arr), KernelKind(args.kernel))
+        value = eval_image(image_from_pgm(arr), KernelKind(args.kernel or "disc"))
     else:
         element, closed, _, _ = _FAMILIES_1D[args.family]
         value = closed(element(read_signal_csv(args.input)))
@@ -370,7 +375,7 @@ def _verify_input(args):
     rng = np.random.default_rng(args.seed)
     if args.family == "image":
         img = Image2D(rng.uniform(0.0, 1.0, (args.n, args.n)))
-        kind = KernelKind(args.kernel)
+        kind = KernelKind(args.kernel or "disc")
         return img, Kernel(kind, args.n), eval_image(img, kind)
     element, closed, kind, extra = _FAMILIES_1D[args.family]
     f = element(rng.uniform(0.0, 1.0, args.n + extra))
@@ -388,15 +393,12 @@ def _cmd_verify(args) -> int:
     return 0 if rel <= args.tol else 3
 
 
-def _load_denoise_input(path: str):
-    if path.lower().endswith((".pgm", ".pnm")):
-        arr, maxval = read_pgm(path)
-        return image_from_pgm(arr).coeffs, maxval
-    return read_signal_csv(path), None
-
-
 def _cmd_denoise(args) -> int:
-    values, maxval = _load_denoise_input(args.input)
+    if args.input.lower().endswith((".pgm", ".pnm")):
+        arr, maxval = read_pgm(args.input)
+        values = image_from_pgm(arr).coeffs
+    else:
+        values, maxval = read_signal_csv(args.input), None
     dim = values.ndim
     pgm_out = args.out.lower().endswith((".pgm", ".pnm"))
     if pgm_out and dim != 2:

@@ -284,7 +284,10 @@ def _pdhg(d, stencil: Stencil, p, solver, tracker, total_energy):
     ``solver.tol`` and ``solver.plateau``. For p = 2, h is mu = 1/(2 max w)
     strongly convex; the constant momentum (1 - sqrt(s)) / (1 + sqrt(s)),
     s = mu / (L + mu), converges linearly (Chambolle and Pock, Acta Numerica
-    2016), where function restart resets it every few steps on stiff stencils.
+    2016), so p = 2 keeps it and never restarts: FISTA with function restart
+    restarted 23 to 280 times, took 1.4 to 3.7 times the iterations (707 vs
+    220 on a 128^2 disc at alpha 2e-2) and did not certify a stiff 4-cell
+    case in 20,000 iterations, which constant momentum certifies in 5,484.
     p = 2 stops on the duality gap of the cell-normalized problem, g = K x:
 
         G = P(x) - D(q) = sum w (g - q / (2w))^2 >= 1/2 |x - x*|^2,

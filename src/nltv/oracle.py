@@ -560,14 +560,6 @@ def _curve_mc(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     return EvalReport(value, stderr, 0.0)
 
 
-def geometric_factor_1d(d: int, grid_m: int, kernel: Kernel, cfg: OracleConfig):
-    """Kernel-weighted integral of 1/|x-y|^p over a 1D cell pair at index
-    distance ``d`` (both orientations). Returns (value, error estimate)."""
-    if d < 1 or grid_m < 1:
-        raise ValueError("need d >= 1 and grid_m >= 1")
-    return _pair_factor((d,), grid_m, kernel, cfg, cfg.samples)
-
-
 def geometric_factor_2d(offset, grid_n: int, kernel: Kernel, cfg: OracleConfig):
     """Kernel-weighted integral of 1/|x-y|^p over a 2D cell pair at the given
     offset (both orientations). Returns (value, error estimate)."""

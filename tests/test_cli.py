@@ -1,4 +1,6 @@
 import math
+import shlex
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nltv import cli
+from nltv import Image2D, KernelKind, cli, eval_image
 from nltv.cli import (
     InputFormatError,
     UsageError,
@@ -107,6 +109,68 @@ def test_out_of_range_flags_are_usage_errors_before_any_input_is_read(capsys, ar
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: argument --") and not captured.out
+
+
+_IGNORED = (
+    [("eval", family, flag) for family in ("pc", "pc-wide", "spline")
+     for flag in ("--kernel", "--scale", "--k", "--j")]
+    + [("eval", "image", flag) for flag in ("--scale", "--k", "--j")]
+    + [("eval", "haar", flag) for flag in ("--input", "--kernel")]
+    + [("verify", family, "--kernel") for family in ("pc", "pc-wide", "spline")])
+
+
+@pytest.mark.parametrize("command, family, flag", _IGNORED,
+                         ids=[" ".join(case) for case in _IGNORED])
+def test_flags_the_family_does_not_read_are_usage_errors(tmp_path, capsys, command,
+                                                         family, flag):
+    # a flag that the family would ignore; the --input path does not exist,
+    # so a refusal after the read would exit 2
+    missing = str(tmp_path / ("nope.pgm" if family == "image" else "nope.csv"))
+    values = {"--input": missing, "--kernel": "square", "--scale": "8",
+              "--k": "1", "--j": "1"}
+    argv = [command, "--family", family]
+    if command == "verify":
+        argv += ["--n", "4"]
+    elif family == "haar":
+        argv += ["--k", "0", "--j", "1", "--scale", "1"]
+    else:
+        argv += ["--input", missing]
+    assert main(argv + [flag, values[flag]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --family {family} does not read {flag}\n"
+    assert not captured.out
+
+
+def test_image_kernel_is_disc_unless_given(tmp_path, capsys):
+    img = tmp_path / "i.pgm"
+    write_pgm(str(img), np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]))
+    image = image_from_pgm(read_pgm(str(img))[0])
+    expected = {kind: format(eval_image(image, kind), ".12g") + "\n"
+                for kind in (KernelKind.DISC2D, KernelKind.SQUARE2D)}
+    assert expected[KernelKind.DISC2D] != expected[KernelKind.SQUARE2D]
+    assert main(["eval", "--family", "image", "--input", str(img)]) == 0
+    assert capsys.readouterr().out == expected[KernelKind.DISC2D]
+    assert main(["eval", "--family", "image", "--kernel", "square", "--input", str(img)]) == 0
+    assert capsys.readouterr().out == expected[KernelKind.SQUARE2D]
+    # verify draws its image from the seed, as uniform values on the n x n cells
+    drawn = Image2D(np.random.default_rng(7).uniform(0.0, 1.0, (3, 3)))
+    for flags, kind in (([], KernelKind.DISC2D), (["--kernel", "square"], KernelKind.SQUARE2D)):
+        assert main(["verify", "--family", "image", "--n", "3", "--seed", "7",
+                     "--method", "gauss", *flags]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"closed-form {format(eval_image(drawn, kind), '.12g')}"
+
+
+def test_readme_commands_parse():
+    # every nltv line of the README's command block passes parse_args, so
+    # the documented commands cannot drift from the flag rules
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("nltv ")]
+    assert len(commands) >= 8
+    for command in commands:
+        parse_args(command[1:])
 
 
 @pytest.mark.parametrize("command", ["denoise", "gamma"])

@@ -31,13 +31,13 @@ from nltv.oracle import (
     _kink_angles,
     _moments,
     _norm_outside,
+    _pair_factor,
     _polar_factor,
     _refine,
     _stratified_mc,
     _stream,
     _tent,
     _threads,
-    geometric_factor_1d,
     geometric_factor_2d,
     oracle_terms,
 )
@@ -130,8 +130,8 @@ def test_gauss_mc_cross_agreement_on_singularity_free_pairs():
     cfg_m = OracleConfig(method="mc", samples=400_000, seed=5)
     for n in (4, 9):
         kernel = Kernel(KernelKind.BOX1D_WIDE, n)
-        vg, eg = geometric_factor_1d(2, n, kernel, cfg_g)
-        vm, em = geometric_factor_1d(2, n, kernel, cfg_m)
+        vg, eg = _pair_factor((2,), n, kernel, cfg_g, cfg_g.samples)
+        vm, em = _pair_factor((2,), n, kernel, cfg_m, cfg_m.samples)
         scale = 3 * max(eg, em) + 1e-12 * abs(vg)
         assert abs(vg - vm) <= scale
     vg, eg = geometric_factor_2d((1, 1), 3, DISC, cfg_g)
@@ -140,12 +140,11 @@ def test_gauss_mc_cross_agreement_on_singularity_free_pairs():
 
 
 def test_matched_adjacent_factor_is_one():
+    cfg = OracleConfig(method="gauss")
     for n in (2, 7, 32):
-        v, err = geometric_factor_1d(1, n, Kernel(KernelKind.BOX1D, n),
-                                     OracleConfig(method="gauss"))
+        v, err = _pair_factor((1,), n, Kernel(KernelKind.BOX1D, n), cfg, cfg.samples)
         assert abs(v - 1.0) < 1e-12
-    v, _ = geometric_factor_1d(2, 4, Kernel(KernelKind.BOX1D, 4),
-                               OracleConfig(method="gauss"))
+    v, _ = _pair_factor((2,), 4, Kernel(KernelKind.BOX1D, 4), cfg, cfg.samples)
     assert v == 0.0
 
 
@@ -260,8 +259,9 @@ def test_dimension_and_exponent_errors():
     with pytest.raises(TypeError):
         oracle_eval("not a function", BOX, OracleConfig(method="gauss"))
     # a pair factor needs a kernel of the offset's dimension
+    cfg = OracleConfig(method="gauss")
     with pytest.raises(ValueError, match="kernel"):
-        geometric_factor_1d(1, 8, Kernel(KernelKind.DISC2D, 8), OracleConfig(method="gauss"))
+        _pair_factor((1,), 8, Kernel(KernelKind.DISC2D, 8), cfg, cfg.samples)
     for method in ("gauss", "mc"):
         with pytest.raises(ValueError, match="kernel"):
             geometric_factor_2d((1, 0), 8, Kernel(KernelKind.BOX1D, 8),
