@@ -270,6 +270,9 @@ _FAMILY_FLAGS = {
     "verify": {**dict.fromkeys(_FAMILIES_1D, ()), "image": ("--kernel",)},
 }
 
+# --tol of each solve command when it is not given
+_SOLVE_TOL = {"denoise": 1e-8, "gamma": 1e-10}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nltv", description=__doc__)
@@ -302,12 +305,11 @@ def build_parser() -> _Parser:
 
     p_den = sub.add_parser("denoise", help="minimize the regularized energy")
     p_gamma = sub.add_parser("gamma", help="kernel-scale convergence experiment")
-    for cmd, tol, source in ((p_den, 1e-8, "CSV signal or PGM image"),
-                             (p_gamma, 1e-10, "CSV signal")):
+    for cmd, source in ((p_den, "CSV signal or PGM image"), (p_gamma, "CSV signal")):
         cmd.add_argument("--input", required=True, help=source)
         cmd.add_argument("--alpha", type=_POSITIVE, required=True)
         cmd.add_argument("--p", type=_at_least(float, 1.0), default=1.0)
-        cmd.add_argument("--tol", type=_POSITIVE, default=tol)
+        cmd.add_argument("--tol", type=_POSITIVE)
         cmd.add_argument("--max-iter", type=_COUNT, default=100_000)
         cmd.add_argument("--out", required=True)
     p_den.add_argument("--kernel", choices=[k.value for k in KernelKind],
@@ -332,6 +334,17 @@ def parse_args(argv) -> argparse.Namespace:
         missing = [f for f in reads if f != "--kernel" and getattr(args, f[2:]) is None]
         if missing:
             raise UsageError(f"--family {args.family} needs {', '.join(missing)}")
+    if args.command == "gamma" and args.p != 1.0:
+        raise UsageError("gamma needs --p 1: the kernel-scale sweep is defined for p = 1")
+    if args.command == "denoise" and args.solver == "pd":
+        if args.p not in (1.0, 2.0):
+            raise UsageError("--solver pd needs --p 1 or 2; use --solver smooth "
+                             "for other exponents")
+        if args.p == 2.0 and args.tol is not None:
+            raise UsageError("--solver pd --p 2 does not read --tol: it stops on "
+                             "its duality gap")
+    if args.command in _SOLVE_TOL and args.tol is None:
+        args.tol = _SOLVE_TOL[args.command]
     return args
 
 

@@ -156,7 +156,6 @@ class DenoiseResult:
     energy_trace: np.ndarray
     iterations: int
     converged: bool
-    regularizer_value: float
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ class GammaRow:
 
 
 def _regularizer_terms(params: EnergyParams) -> list:
-    # the (offset, weight) terms of regularizer_stencil
+    # the (offset, weight) terms with R(f) = sum w |f_i - f_{i+o}|^p
     n = params.grid_n
     kind = params.kernel.kind
     if params.scheme == SCHEME_CLOSED_1D:
@@ -190,23 +189,37 @@ def _regularizer_terms(params: EnergyParams) -> list:
     return oracle_terms(params.kernel, n, cfg)
 
 
-def regularizer_stencil(params: EnergyParams) -> Stencil:
-    """The stencil with R(f) = sum w |f_i - f_{i+o}|^p over the grid."""
-    return Stencil((params.grid_n,) * params.dim, _regularizer_terms(params))
+def _problem(data: DataTerm, params: EnergyParams):
+    """The cell-normalized problem of every solve, min 1/2 |x - d|^2 +
+    sum w |x_i - x_{i+o}|^p, whose minimizer is that of the original energy:
+    the data vector d, the stencil of weights alpha / K_{p,dim} * w / mu (mu
+    the cell measure) and ``total_energy(x, diffs=None)``, the original
+    energy that :func:`energy` and every trace report (``diffs`` is
+    ``stencil.gather(x)`` if the caller has it)."""
+    if data.grid_n != params.grid_n:
+        raise ValueError("data grid does not match params.grid_n")
+    if data.data.ndim != params.dim:
+        raise ValueError("data dimensionality does not match the kernel")
+    d, mu, p = data.data.ravel().astype(float), data.cell_measure, params.p
+    scale = params.alpha / kpn(p, params.dim).value
+    stencil = Stencil(data.data.shape, [(off, scale * w / mu)
+                                        for off, w in _regularizer_terms(params)])
+
+    def total_energy(x, diffs=None):
+        return mu * (0.5 * float(np.sum((x - d) ** 2)) + stencil.value(x, p, diffs))
+
+    return d, stencil, total_energy
 
 
 def energy(f, data: DataTerm, params: EnergyParams) -> float:
-    """Value of the regularized denoising energy at ``f``."""
+    """Value of the regularized denoising energy at ``f``, by the formula of
+    every solve's trace."""
     arr = np.asarray(f, dtype=float)
     if arr.shape != data.data.shape:
         raise ValueError(f"shape mismatch: {arr.shape} vs {data.data.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("f must be finite")
-    if data.grid_n != params.grid_n:
-        raise ValueError("data grid does not match params.grid_n")
-    fid = data.cell_measure * 0.5 * float(np.sum((arr - data.data) ** 2))
-    k = kpn(params.p, params.dim).value
-    return fid + (params.alpha / k) * regularizer_stencil(params).value(arr, params.p)
+    return _problem(data, params)[2](arr.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +254,16 @@ class _Tracker:
         return self._flat >= self.plateau
 
 
-def _solve(d, mu, stencil: Stencil, p, solver: SolverConfig):
-    """Shared scaffold of both solvers for the cell-normalized problem
-    min 1/2 |f - d|^2 + sum w |f_i - f_{i+o}|^p, whose minimizer is that of
-    the original energy (``stencil`` carries the weights divided by the cell
-    measure ``mu``). Energies are reported in the original scaling. ``smooth``
-    starts from ``solver.init`` if given, ``pd`` from the data.
+def _solve(d, stencil: Stencil, total_energy, p, solver: SolverConfig):
+    """Shared scaffold of both solvers for a cell-normalized problem of
+    :func:`_problem`, whose ``total_energy`` gives every energy reported.
+    ``smooth`` starts from ``solver.init`` if given, ``pd`` from the data.
 
     Returns (minimizer, energy trace, iterations, converged).
     """
     f0 = d if solver.init is None else np.asarray(solver.init, dtype=float).ravel()
     if f0.size != d.size:
         raise ValueError("init must have the same size as the data")
-
-    def total_energy(x, diffs=None):
-        return mu * (0.5 * float(np.sum((x - d) ** 2)) + stencil.value(x, p, diffs))
-
     if stencil.op_norm_sq == 0.0:
         # K = 0 (no pair of the grid, or only zero offsets): the data minimizes
         return d.copy(), [total_energy(d)], 0, True
@@ -400,27 +407,15 @@ def denoise(data: DataTerm, params: EnergyParams,
     :func:`_pdhg`).
     """
     solver = solver if solver is not None else SolverConfig()
-    if data.grid_n != params.grid_n:
-        raise ValueError("data grid does not match params.grid_n")
-    if data.data.ndim != params.dim:
-        raise ValueError("data dimensionality does not match the kernel")
     if solver.method == "pd" and params.p not in (1.0, 2.0):
         raise ValueError("the primal-dual solver handles p in {1, 2}; "
                          "use the smooth solver for other exponents")
-    scale = params.alpha / kpn(params.p, params.dim).value
-    mu = data.cell_measure
-    # the only stencil of the solve: weights in cell-normalized units
-    normalized = Stencil(data.data.shape, [(off, scale * w / mu)
-                                           for off, w in _regularizer_terms(params)])
-    best, trace, iterations, converged = _solve(
-        data.data.ravel().astype(float), mu, normalized, params.p, solver)
-    minimizer = best.reshape(data.data.shape)
-    reg = normalized.value(best, params.p) * mu / scale
-    return DenoiseResult(minimizer=minimizer,
+    d, stencil, total_energy = _problem(data, params)
+    best, trace, iterations, converged = _solve(d, stencil, total_energy, params.p, solver)
+    return DenoiseResult(minimizer=best.reshape(data.data.shape),
                          energy_trace=np.asarray(trace),
                          iterations=iterations,
-                         converged=converged,
-                         regularizer_value=reg)
+                         converged=converged)
 
 
 # ---------------------------------------------------------------------------

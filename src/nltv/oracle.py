@@ -10,7 +10,8 @@ Two methods are available:
 * ``gauss``: composite Gauss-Legendre quadrature through one panel rule,
   ``_panel_nodes``, applied to whole arrays of panels. For piecewise-constant
   inputs the integral reduces exactly (Fubini) to per-cell-pair geometric
-  factors, in 2D in polar coordinates with one array pass per angular panel;
+  factors, in 2D in polar coordinates with one array pass per block of
+  angular panels;
   for splines and callbacks a band |x - y| < delta is excluded and the value
   extrapolated linearly in delta.
 * ``mc``: stratified Monte Carlo through one sampler, ``_stratified_mc``,
@@ -57,6 +58,10 @@ _THREAD_DRAWS = 32_768
 # trade-off when it was the chunk of a longer stratum: the spline verify at
 # 2e7 samples was slower at 16,384 and took more memory at 65,536
 _CHUNK = 1 << 15
+# most radial nodes of one array pass of the 2D Gauss pair factor: one pass
+# over every theta panel was no faster for the disc kernel's weights at
+# scale 4 on 64^2, and raised their peak memory from 32 to 56 MB
+_PANEL_NODES = 1 << 15
 # half-width of the band |x - y| < delta that the Gauss curve evaluation
 # excludes before it extrapolates linearly in delta
 _EXCLUSION_BAND = 1e-6
@@ -314,8 +319,11 @@ def _polar_factor(dx: int, dy: int, h: float, kernel: Kernel, g: int,
     The radial integrand is piecewise polynomial for p = 1, so with panel
     boundaries at every tent knot crossing the inner integral is exact and
     the only error source is the angular quadrature (smooth per panel).
-    Each theta panel is one array pass over its g angles, 7 radial panels
-    and g radial nodes; knot crossings outside (0, cap) move to the cap.
+    Whole theta panels go in blocks of at most ``_PANEL_NODES`` radial nodes
+    (7 radial panels of g nodes for each of its g angles a panel): one array
+    pass over every angle of a block, with knot crossings outside (0, cap)
+    moved to the cap, gives each angle's radial integral. Each panel then
+    adds ``wt @ radial`` to the total in panel order, so blocks change no bit.
     """
     knots_x = [(dx - 1) * h, dx * h, (dx + 1) * h]
     knots_y = [(dy - 1) * h, dy * h, (dy + 1) * h]
@@ -324,19 +332,24 @@ def _polar_factor(dx: int, dy: int, h: float, kernel: Kernel, g: int,
         thetas = _refine(thetas)
     r = kernel.support_radius
     disc = kernel.kind is KernelKind.DISC2D
+    th_panels, wt_panels = _panel_nodes(thetas, g)
+    block = max(1, _PANEL_NODES // (7 * g * g))
     total = 0.0
-    for th, wt in zip(*_panel_nodes(thetas, g)):
+    for first in range(0, len(th_panels), block):
+        th = th_panels[first:first + block].ravel()
         c, s = np.cos(th), np.sin(th)
-        cap = r / (np.ones(g) if disc else np.maximum(np.abs(c), np.abs(s)))
+        cap = r / (np.ones(th.size) if disc else np.maximum(np.abs(c), np.abs(s)))
         # cos and sin vanish at no double but 0, and every node lies inside
         # (0, 2 pi), so every crossing is finite
         rho = np.column_stack([knots_x / c[:, None], knots_y / s[:, None]])
         rho = np.where((rho > 0.0) & (rho < cap[:, None]), rho, cap[:, None])
-        edges = np.sort(np.column_stack([np.zeros(g), cap, rho]), axis=1)
+        edges = np.sort(np.column_stack([np.zeros(th.size), cap, rho]), axis=1)
         pts, wts = _panel_nodes(edges, g)
         vals = (2.0 * kernel.height * _tent(pts * c[:, None, None], dx, h)
                 * _tent(pts * s[:, None, None], dy, h) * pts ** (1.0 - p))
-        total += float(wt @ np.sum(wts * vals, axis=(1, 2)))
+        radial = np.sum(wts * vals, axis=(1, 2)).reshape(-1, g)
+        for wt, rad in zip(wt_panels[first:first + block], radial):
+            total += float(wt @ rad)
     return total
 
 

@@ -38,6 +38,11 @@ def test_parse_args_defaults():
                        "--n", "3", "--samples", "100000", "--seed", "7"])
     assert (args.n, args.samples, args.seed) == (3, 100000, 7)
     assert args.method == "mc"
+    # --tol resolves to each solve command's own default
+    solve = ["--input", "s.csv", "--alpha", "0.1", "--out", "o.csv"]
+    assert parse_args(["denoise", *solve]).tol == 1e-8
+    assert parse_args(["gamma", *solve, "--scales", "2"]).tol == 1e-10
+    assert parse_args(["denoise", *solve, "--p", "2"]).tol == 1e-8
 
 
 def test_parse_args_rejects_bad_flags():
@@ -138,6 +143,28 @@ def test_flags_the_family_does_not_read_are_usage_errors(tmp_path, capsys, comma
     assert main(argv + [flag, values[flag]]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"usage error: --family {family} does not read {flag}\n"
+    assert not captured.out
+
+
+_SOLVE_REFUSALS = {
+    "pd-p": (["denoise", "--p", "1.5"],
+             "--solver pd needs --p 1 or 2; use --solver smooth for other exponents"),
+    "gamma-p": (["gamma", "--p", "2", "--scales", "2"],
+                "gamma needs --p 1: the kernel-scale sweep is defined for p = 1"),
+    "pd-p2-tol": (["denoise", "--p", "2", "--tol", "1e-3"],
+                  "--solver pd --p 2 does not read --tol: it stops on its duality gap"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVE_REFUSALS))
+def test_solve_flags_that_cannot_go_together_are_usage_errors(tmp_path, capsys, name):
+    # the --input path does not exist, so a refusal after the read would exit 2
+    flags, message = _SOLVE_REFUSALS[name]
+    argv = [*flags, "--input", str(tmp_path / "nope.csv"), "--alpha", "0.1",
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
     assert not captured.out
 
 

@@ -30,9 +30,9 @@ from nltv.minimize import (
     SCHEME_CLOSED_1D,
     SCHEME_CLOSED_2D,
     SCHEME_ORACLE,
+    _regularizer_terms,
     _solve,
     _Tracker,
-    regularizer_stencil,
 )
 from nltv.oracle import oracle_terms
 from test_byte_identity import _case as _pinned_case
@@ -117,6 +117,7 @@ def test_no_pair_returns_the_data():
             assert res.converged and res.iterations == 0
             assert res.minimizer.tolist() == data.data.tolist()
             assert res.energy_trace.tolist() == [0.0]
+            assert energy(res.minimizer, data, params) == 0.0
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 3)])
@@ -130,7 +131,7 @@ def test_closed_2d_pairs_match_eval_image():
     for n in (2, 5):
         params = EnergyParams(p=1.0, alpha=1.0, kernel=Kernel(KernelKind.DISC2D, n),
                               grid_n=n, scheme=SCHEME_CLOSED_2D)
-        stencil = regularizer_stencil(params)
+        stencil = Stencil((n, n), _regularizer_terms(params))
         a = rng.uniform(0, 1, (n, n))
         pair_sum = float(np.sum(stencil.pair_weights()
                                 * np.abs(stencil.gather(a.ravel()))))
@@ -143,7 +144,7 @@ def test_oracle_pairs_match_wide_closed_form():
     n = 9
     po = params_1d(n, alpha=1.0, kind=KernelKind.BOX1D_WIDE, scheme=SCHEME_ORACLE)
     by_dist = {}
-    for (d,), wv in regularizer_stencil(po).terms:
+    for (d,), wv in _regularizer_terms(po):
         by_dist.setdefault(d, set()).add(round(wv, 12))
     assert set(by_dist) == {1, 2}
     assert by_dist[1] == {round(math.log(2.0), 12)}
@@ -178,7 +179,7 @@ def test_stencil_value_and_adjoint_property(case):
     scheme = SCHEME_CLOSED_1D if a.ndim == 1 else SCHEME_CLOSED_2D
     params = EnergyParams(p=1.0, alpha=1.0, kernel=Kernel(kind, n), grid_n=n,
                           scheme=scheme)
-    got = regularizer_stencil(params).value(a.ravel(), 1.0)
+    got = Stencil(a.shape, _regularizer_terms(params)).value(a.ravel(), 1.0)
     # products that fall below the normal range round in absolute terms, so
     # the relative bound gets an absolute floor far below any normal value
     assert math.isclose(got, _CLOSED_FORMS[kind](a), rel_tol=1e-12, abs_tol=1e-300)
@@ -370,9 +371,9 @@ def test_step_bound_of_oracle_and_closed_stencils():
         # frequencies of the even torus; the grid norms lie within O(1/n^2)
         # below (in 1D 4 - |K|^2 = 4 sin^2(pi / 2n) <= pi^2 / n^2)
         box = Stencil((n,), [((1,), 1.0)])
-        closed = regularizer_stencil(EnergyParams(
+        closed = Stencil((n, n), _regularizer_terms(EnergyParams(
             p=1.0, alpha=1.0, kernel=Kernel(KernelKind.DISC2D, n), grid_n=n,
-            scheme=SCHEME_CLOSED_2D))
+            scheme=SCHEME_CLOSED_2D)))
         assert box.op_norm_sq == 4.0
         assert closed.op_norm_sq == 12.0
         assert 4.0 - math.pi ** 2 / n ** 2 <= _normal_matrix_max(box) <= 4.0
@@ -523,19 +524,44 @@ def test_denoise_2d_runs_and_preserves_mean():
     assert res.converged
     assert res.minimizer.shape == (8, 8)
     assert abs(res.minimizer.mean() - a.mean()) <= 1e-8
-    assert res.regularizer_value >= 0.0
 
 
-@pytest.mark.parametrize("name", ["closed-1d-box", "closed-1d-box2", "closed-1d-box-p2",
-                                  "closed-2d-disc", "oracle-1d", "smooth-1d-box"])
-def test_denoise_regularizer_value_matches_the_stencil(name):
-    # denoise scales the value of its cell-normalized stencil back to R's units
-    d, (p, alpha, kernel, scheme), solver = _pinned_case(name)
-    params = EnergyParams(p=p, alpha=alpha, kernel=kernel, grid_n=d.shape[0],
-                          scheme=scheme)
-    res = denoise(DataTerm.of(d), params, solver)
-    ref = regularizer_stencil(params).value(res.minimizer, p)
-    assert abs(res.regularizer_value - ref) <= 1e-12 * ref
+# (p, kernel kind, kernel scale from the grid size n, scheme, solver method)
+_TRACE_CASES = {
+    "closed-1d-box": (1.0, KernelKind.BOX1D, lambda n: n, SCHEME_CLOSED_1D, "pd"),
+    "closed-1d-box2": (1.0, KernelKind.BOX1D_WIDE, lambda n: n, SCHEME_CLOSED_1D, "pd"),
+    "closed-1d-box-p2": (2.0, KernelKind.BOX1D, lambda n: n, SCHEME_CLOSED_1D, "pd"),
+    "closed-2d-disc": (1.0, KernelKind.DISC2D, lambda n: n, SCHEME_CLOSED_2D, "pd"),
+    "closed-2d-disc-p2": (2.0, KernelKind.DISC2D, lambda n: n, SCHEME_CLOSED_2D, "pd"),
+    "closed-2d-square": (1.0, KernelKind.SQUARE2D, lambda n: n, SCHEME_CLOSED_2D, "pd"),
+    "oracle-1d": (1.0, KernelKind.BOX1D, lambda n: n // 4, SCHEME_ORACLE, "pd"),
+    "smooth-1d-box": (1.0, KernelKind.BOX1D, lambda n: n, SCHEME_CLOSED_1D, "smooth"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_CASES))
+def test_energy_of_the_minimizer_matches_the_trace(name):
+    # energy() and every solve share one formula: a p = 1 minimizer is the
+    # iterate whose energy the trace last recorded, bit for bit; a certified
+    # p = 2 solve returns its last iterate, whose energy may lie above the
+    # trace's best
+    p, kind, scale, scheme, method = _TRACE_CASES[name]
+    dim = Kernel(kind, 1).dim
+    rng = np.random.default_rng(sorted(_TRACE_CASES).index(name))
+    for _ in range(15):
+        n = int(rng.integers(8, 49) if dim == 1 else rng.integers(3, 13))
+        # a step at 0.4 of the flattened grid, plus noise
+        d = (np.arange(n ** dim) >= 0.4 * n ** dim).astype(float).reshape((n,) * dim)
+        d += 0.2 * rng.standard_normal(d.shape)
+        params = EnergyParams(p=p, alpha=float(10 ** rng.uniform(-3.0, -1.3)),
+                              kernel=Kernel(kind, scale(n)), grid_n=n, scheme=scheme)
+        data = DataTerm.of(d)
+        res = denoise(data, params, SolverConfig(method=method, max_iter=400))
+        value = energy(res.minimizer, data, params)
+        if p == 1.0:
+            assert value == res.energy_trace[-1]
+        else:
+            assert res.converged and value >= res.energy_trace[-1]
 
 
 def test_denoise_validates_shapes_and_solver():
@@ -611,12 +637,12 @@ def _reference_case(name):
         d, (p, alpha, kernel, scheme), solver = _pinned_case(name[len("pinned-"):])
         params = EnergyParams(p=p, alpha=alpha, kernel=kernel, grid_n=d.shape[0],
                               scheme=scheme)
-        return d, regularizer_stencil(params), p, alpha, solver
+        return d, Stencil(d.shape, _regularizer_terms(params)), p, alpha, solver
     p, alpha = (1.0, 2e-3) if name.endswith("p1") else (2.0, 2e-4)
     if name.startswith("disc32"):
         params = EnergyParams(p=p, alpha=alpha, kernel=Kernel(KernelKind.DISC2D, 32),
                               grid_n=32, scheme=SCHEME_CLOSED_2D)
-        stencil, solver = regularizer_stencil(params), SolverConfig(tol=1e-7)
+        stencil, solver = Stencil((32, 32), _regularizer_terms(params)), SolverConfig(tol=1e-7)
         return _disc_image(32, 30), stencil, p, alpha, solver
     # oracle weights of a disc of radius four cells: 38 offsets on a 16x16 grid
     stencil = Stencil((16, 16), oracle_terms(Kernel(KernelKind.DISC2D, 4), 16,
@@ -636,13 +662,22 @@ def _normalized_problem(name):
     return data.ravel().astype(float), mu, stencil, p, solver
 
 
+def _solve_normalized(d, mu, stencil, p, solver):
+    """:func:`nltv.minimize._solve` on a cell-normalized stencil, with the
+    energy that :func:`nltv.minimize._problem` pairs with it."""
+    def total_energy(x, diffs=None):
+        return mu * (0.5 * float(np.sum((x - d) ** 2)) + stencil.value(x, p, diffs))
+
+    return _solve(d, stencil, total_energy, p, solver)
+
+
 @pytest.mark.parametrize("name", [
     "pinned-closed-1d-box", "pinned-closed-1d-box2", "pinned-closed-2d-disc",
     "pinned-oracle-1d", "disc32-p1", "oracle-many-offsets-p1",
 ])
 def test_pdhg_matches_reference_iteration(name):
     d, mu, stencil, p, solver = _normalized_problem(name)
-    best, trace, iterations, _ = _solve(d, mu, stencil, p, solver)
+    best, trace, iterations, _ = _solve_normalized(d, mu, stencil, p, solver)
     ref_iterations, seen = _reference_pdhg(d, mu, stencil, p, solver)
     assert iterations == ref_iterations
     # same trajectory: the best energy after every step agrees
@@ -687,7 +722,7 @@ def _assert_certified_p2(d, mu, stencil, solver):
         return scatter(q, out=out)
 
     stencil.scatter = spy
-    x, trace, _, converged = _solve(d, mu, stencil, 2.0, solver)
+    x, trace, _, converged = _solve_normalized(d, mu, stencil, 2.0, solver)
     assert converged
     assert np.linalg.norm(x - exact) <= 1e-13 * (1.0 + np.max(np.abs(d)))
     assert np.all(np.diff(trace) <= 0.0)

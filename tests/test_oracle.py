@@ -32,6 +32,7 @@ from nltv.oracle import (
     _moments,
     _norm_outside,
     _pair_factor,
+    _panel_nodes,
     _polar_factor,
     _refine,
     _stratified_mc,
@@ -41,6 +42,7 @@ from nltv.oracle import (
     geometric_factor_2d,
     oracle_terms,
 )
+from nltv.stencil import offsets_within_reach
 
 BOX = Kernel(KernelKind.BOX1D, 4)
 WIDE = Kernel(KernelKind.BOX1D_WIDE, 6)
@@ -477,6 +479,30 @@ def _old_polar_factor(dx, dy, h, kernel, g, theta_split, p):
     return total
 
 
+def _panel_loop_polar_factor(dx, dy, h, kernel, g, theta_split, p):
+    # the polar factor one theta panel at a time: each panel one array pass
+    # over its g angles
+    knots_x = [(dx - 1) * h, dx * h, (dx + 1) * h]
+    knots_y = [(dy - 1) * h, dy * h, (dy + 1) * h]
+    thetas = _kink_angles(knots_x, knots_y, kernel)
+    for _ in range(theta_split):
+        thetas = _refine(thetas)
+    r = kernel.support_radius
+    disc = kernel.kind is KernelKind.DISC2D
+    total = 0.0
+    for th, wt in zip(*_panel_nodes(thetas, g)):
+        c, s = np.cos(th), np.sin(th)
+        cap = r / (np.ones(g) if disc else np.maximum(np.abs(c), np.abs(s)))
+        rho = np.column_stack([knots_x / c[:, None], knots_y / s[:, None]])
+        rho = np.where((rho > 0.0) & (rho < cap[:, None]), rho, cap[:, None])
+        edges = np.sort(np.column_stack([np.zeros(g), cap, rho]), axis=1)
+        pts, wts = _panel_nodes(edges, g)
+        vals = (2.0 * kernel.height * _tent(pts * c[:, None, None], dx, h)
+                * _tent(pts * s[:, None, None], dy, h) * pts ** (1.0 - p))
+        total += float(wt @ np.sum(wts * vals, axis=(1, 2)))
+    return total
+
+
 def _old_x_integral(func, u, knots, p, g, split_roots):
     edges = _curve_breaks(knots, u, u, 1.0)
     if split_roots:
@@ -552,6 +578,21 @@ def test_polar_factor_matches_the_per_node_reference(kind, p):
                 args = (dx, dy, 1.0 / grid, kernel, g, theta_split, p)
                 ref = _old_polar_factor(*args)
                 assert abs(_polar_factor(*args) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("kind", [KernelKind.DISC2D, KernelKind.SQUARE2D])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5])
+def test_polar_factor_blocks_are_bit_identical_to_the_panel_loop(kind, p):
+    # every canonical offset in reach on two grids, several blocks of theta
+    # panels each (the last one partial)
+    for grid, kscale in [(4, 3), (8, 4)]:
+        kernel = Kernel(kind, kscale)
+        offsets = [off for off in offsets_within_reach(kernel, grid) if off[0] >= off[1] >= 0]
+        for dx, dy in offsets:
+            for g in (8, 12):
+                for theta_split in (2, 3):
+                    args = (dx, dy, 1.0 / grid, kernel, g, theta_split, p)
+                    assert _polar_factor(*args).hex() == _panel_loop_polar_factor(*args).hex()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
