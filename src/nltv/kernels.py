@@ -10,6 +10,9 @@ indexed by a scale ``n`` (support shrinks like 1/n):
 
 The scale index is deliberately decoupled from any grid resolution so that
 mismatched kernel/grid combinations can be evaluated by the quadrature oracle.
+
+Each support is the ball of radius ``support_radius`` in one norm, Euclidean
+or (``square``) the sup norm, and every rule on its shape is written here.
 """
 
 from __future__ import annotations
@@ -55,10 +58,46 @@ class Kernel:
 
     @property
     def support_radius(self) -> float:
-        """Half-width of the support (Euclidean radius; sup-norm for square)."""
+        """Radius of the support in the norm that bounds it."""
         if self.kind is KernelKind.BOX1D_WIDE:
             return 2.0 / self.n
         return 1.0 / self.n
+
+    @property
+    def sup_norm(self) -> bool:
+        """Whether the sup norm bounds the support (``square``); the Euclidean
+        norm bounds every other kind."""
+        return self.kind is KernelKind.SQUARE2D
+
+    def norm(self, u):
+        """The norm that bounds the support, of offsets given as one float or
+        array per axis."""
+        if self.sup_norm:
+            return np.maximum(np.abs(u[0]), np.abs(u[1]))
+        return np.sqrt(sum(a * a for a in u))
+
+    def outside(self, u, euclidean):
+        """Where the offsets ``u`` (one array per axis) lie outside the
+        support, given their Euclidean norm as :meth:`norm` computes it."""
+        return (self.norm(u) if self.sup_norm else euclidean) > self.support_radius
+
+    def cap(self, c, s):
+        """Distance from the origin to the boundary of the 2D support along
+        the unit directions (``c``, ``s``), arrays."""
+        if self.sup_norm:
+            return self.support_radius / self.norm((c, s))
+        return np.full(np.shape(c), self.support_radius)
+
+    def crossing_angles(self, c: float) -> list:
+        """Angles in [0, pi/2] at which the lines x = c and y = c, c > 0,
+        cross the boundary of the 2D support: at (c, r) and (r, c) for
+        ``square``."""
+        r = self.support_radius
+        if c >= r:
+            return []
+        if self.sup_norm:
+            return [math.atan2(r, c), math.atan2(c, r)]
+        return [math.acos(c / r), math.asin(c / r)]
 
     @property
     def height(self) -> float:
@@ -80,11 +119,34 @@ def kernel_eval(kernel: Kernel, x) -> float:
         raise ValueError(f"expected a point in R^{kernel.dim}, got shape {pt.shape}")
     if not np.all(np.isfinite(pt)):
         raise ValueError("point must be finite")
-    if kernel.kind is KernelKind.SQUARE2D:
-        norm = np.max(np.abs(pt))
+    return kernel.height if kernel.norm(pt) <= kernel.support_radius else 0.0
+
+
+def in_reach(kernel: Kernel, n: int, offset: tuple) -> bool:
+    """Whether the kernel reaches any pair of cells at this offset on the
+    grid of n cells per axis: whether the gap between the two cells is below
+    r in the norm that bounds the support. In the sup norm (and in 1D, where
+    both norms agree) each axis's index distance is at most r/h + 1."""
+    h = 1.0 / n
+    r = kernel.support_radius
+    if kernel.dim == 1 or kernel.sup_norm:
+        return max(abs(o) for o in offset) <= math.floor(r / h + 1.0 - 1e-12)
+    return math.hypot(*(max(abs(o) - 1, 0) * h for o in offset)) < r
+
+
+def offsets_within_reach(kernel: Kernel, n: int) -> list:
+    """Offsets in kernel reach that fit a cell pair on the n-cell (1D) or
+    n x n (2D) grid, one per unordered pair direction: ``(d,)`` with d
+    ascending in 1D; in 2D ``(dx, dy)`` over the half plane dx > 0, or dx = 0
+    and dy > 0, with dx outermost."""
+    # in either norm no offset beyond floor(r/h) + 1 cells is in reach
+    reach = min(int(math.floor(kernel.support_radius / (1.0 / n))) + 1, n - 1)
+    if kernel.dim == 1:
+        candidates = [(d,) for d in range(1, reach + 1)]
     else:
-        norm = float(np.sqrt(np.sum(pt * pt)))
-    return kernel.height if norm <= kernel.support_radius else 0.0
+        candidates = [(dx, dy) for dx in range(reach + 1)
+                      for dy in range(-reach, reach + 1) if dx > 0 or dy > 0]
+    return [off for off in candidates if in_reach(kernel, n, off)]
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import Kernel, KernelKind
+from .kernels import Kernel, KernelKind, in_reach, offsets_within_reach
 from .schemes_1d import PiecewiseConstant1D, Spline1D
 from .schemes_2d import Image2D, StencilWeights
-from .stencil import Stencil, in_reach, offsets_within_reach
+from .stencil import Stencil
 
 GAUSS = "gauss"
 MONTE_CARLO = "mc"
@@ -255,20 +255,17 @@ def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
 
 
 def _norm_outside(kernel: Kernel, u):
-    """The norm of the offsets ``u`` (one array per axis) and where
-    ``kernel_eval`` vanishes at them, with its comparisons; the mask is None
-    in 1D, where every sampled offset lies in the support. In 2D the norm is
-    sqrt(u1^2 + u2^2), against r for ``disc``, and the sup-norm decides for
-    ``square``. Leaves ``u`` as it is."""
+    """The Euclidean norm of the offsets ``u`` (one array per axis) and where
+    ``kernel_eval`` vanishes at them (``Kernel.outside``); the mask is None in
+    1D, where every sampled offset lies in the support. Leaves ``u`` as it
+    is."""
     if kernel.dim == 1:
         return np.abs(u[0]), None
+    # in place, the arithmetic of Kernel.norm
     norm = u[0] * u[0]
     norm += u[1] * u[1]
     np.sqrt(norm, out=norm)
-    r = kernel.support_radius
-    if kernel.kind is KernelKind.SQUARE2D:
-        return norm, (u[0] > r) | (u[0] < -r) | (u[1] > r) | (u[1] < -r)
-    return norm, norm > r
+    return norm, kernel.outside(u, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +292,12 @@ def _power_transformed(fn, b: float, p: float):
 
 def _kink_angles(knots_x, knots_y, kernel: Kernel) -> np.ndarray:
     """Angles where the radial breakpoint structure of the polar integrand
-    changes; used as theta panel boundaries."""
-    r = kernel.support_radius
+    changes (the knot lines' crossings with the support's boundary and with
+    each other); used as theta panel boundaries."""
     # the reflections of 0, pi/4 and pi/2 are the multiples of pi/4
     bases = [0.0, 0.25 * math.pi, 0.5 * math.pi]
     for c in [abs(c) for c in knots_x + knots_y if c != 0.0]:
-        if c < r:
-            bases += [math.acos(c / r), math.asin(min(c / r, 1.0))]
+        bases += kernel.crossing_angles(c)
     for cx in [abs(c) for c in knots_x if c != 0.0]:
         for cy in [abs(c) for c in knots_y if c != 0.0]:
             bases.append(math.atan2(cy, cx))
@@ -330,15 +326,13 @@ def _polar_factor(dx: int, dy: int, h: float, kernel: Kernel, g: int,
     thetas = _kink_angles(knots_x, knots_y, kernel)
     for _ in range(theta_split):
         thetas = _refine(thetas)
-    r = kernel.support_radius
-    disc = kernel.kind is KernelKind.DISC2D
     th_panels, wt_panels = _panel_nodes(thetas, g)
     block = max(1, _PANEL_NODES // (7 * g * g))
     total = 0.0
     for first in range(0, len(th_panels), block):
         th = th_panels[first:first + block].ravel()
         c, s = np.cos(th), np.sin(th)
-        cap = r / (np.ones(th.size) if disc else np.maximum(np.abs(c), np.abs(s)))
+        cap = kernel.cap(c, s)
         # cos and sin vanish at no double but 0, and every node lies inside
         # (0, 2 pi), so every crossing is finite
         rho = np.column_stack([knots_x / c[:, None], knots_y / s[:, None]])
@@ -626,12 +620,12 @@ def fit_stencil(kind: KernelKind, n: int, cfg: OracleConfig) -> StencilWeights:
     """
     if not 2 <= n <= 8:
         raise ValueError("stencil fitting supports n in [2, 8]")
-    if kind not in (KernelKind.DISC2D, KernelKind.SQUARE2D):
+    kernel = Kernel(kind, n)
+    if kernel.dim != 2:
         raise ValueError("stencil fitting requires a 2D kernel")
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     checker = Image2D(((ii + jj) % 2).astype(float))
     edge = Image2D((ii >= n // 2).astype(float))
-    kernel = Kernel(kind, n)
     r_checker = oracle_eval(checker, kernel, cfg).value
     r_edge = oracle_eval(edge, kernel, replace(cfg, seed=cfg.seed + 1)).value
     lateral = r_checker / (2.0 * n * (n - 1))

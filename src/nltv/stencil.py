@@ -28,36 +28,6 @@ import math
 
 import numpy as np
 
-from .kernels import Kernel
-
-
-def in_reach(kernel: Kernel, n: int, offset: tuple) -> bool:
-    """Whether the kernel reaches any pair of cells at this offset on the
-    grid of n cells per axis: in 1D the index distance is at most
-    r/h + 1, in 2D the gap between the two cells is below the support
-    radius r."""
-    h = 1.0 / n
-    r = kernel.support_radius
-    if len(offset) == 1:
-        return abs(offset[0]) <= math.floor(r / h + 1.0 - 1e-12)
-    return math.hypot(*(max(abs(o) - 1, 0) * h for o in offset)) < r
-
-
-def offsets_within_reach(kernel: Kernel, n: int) -> list:
-    """Offsets in kernel reach that fit a cell pair on the n-cell (1D) or
-    n x n (2D) grid, one per unordered pair direction: ``(d,)`` with d
-    ascending in 1D; in 2D ``(dx, dy)`` over the half plane dx > 0, or dx = 0
-    and dy > 0, with dx outermost."""
-    # no offset beyond floor(r/h) + 1 cells is in reach on either axis
-    reach = min(int(math.floor(kernel.support_radius / (1.0 / n))) + 1, n - 1)
-    if kernel.dim == 1:
-        candidates = [(d,) for d in range(1, reach + 1)]
-    else:
-        candidates = [(dx, dy) for dx in range(reach + 1)
-                      for dy in range(-reach, reach + 1) if dx > 0 or dy > 0]
-    return [off for off in candidates if in_reach(kernel, n, off)]
-
-
 class Stencil:
     """A grid shape plus ordered ``(offset, weight)`` terms.
 

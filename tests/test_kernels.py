@@ -9,6 +9,7 @@ import pytest
 
 import nltv
 from nltv import Kernel, KernelKind, kernel_eval, kpn
+from nltv.kernels import offsets_within_reach
 
 ALL_KINDS = list(KernelKind)
 RADIAL_KINDS = [KernelKind.BOX1D, KernelKind.BOX1D_WIDE, KernelKind.DISC2D]
@@ -89,6 +90,18 @@ def test_radial_rotation_invariance():
         for _ in range(100):
             x = float(rng.uniform(-0.8, 0.8))
             assert kernel_eval(k, (x,)) == kernel_eval(k, (-x,))
+
+
+def test_square_reach_is_the_sup_norm_ball():
+    # on 12^2 at scale 3 (r = 4h) the cells at offset (4, 4) are 3h apart on
+    # each axis: below r in the sup norm, 3 sqrt(2) h in the Euclidean norm
+    square = offsets_within_reach(Kernel(KernelKind.SQUARE2D, 3), 12)
+    assert (4, 4) in square and (4, -4) in square
+    # every offset of the 9 x 9 box of the half plane, and none 4h = r apart
+    assert len(square) == 4 * 9 + 4
+    assert (5, 0) not in square and (0, 5) not in square
+    disc = offsets_within_reach(Kernel(KernelKind.DISC2D, 3), 12)
+    assert (4, 4) not in disc and (4, 0) in disc
 
 
 def test_kpn_examples():

@@ -399,13 +399,13 @@ def test_taut_string_example_against_grid_search():
     d = np.array([0.0, 0.0, 1.0, 1.0])
     lam = 0.1
     grid = np.linspace(-0.5, 1.5, 801)
-    best, best_val = None, np.inf
-    for a in grid:
-        for b in grid:
-            u = np.array([a, a, b, b])
-            val = 0.5 * np.sum((u - d) ** 2) + lam * np.sum(np.abs(np.diff(u)))
-            if val < best_val:
-                best, best_val = u, val
+    # u = [a, a, b, b] over every pair of the grid, a outermost; argmin takes
+    # the first smallest value in that order
+    a, b = grid[:, None], grid[None, :]
+    vals = (0.5 * ((a - d[0]) ** 2 + (a - d[1]) ** 2 + (b - d[2]) ** 2 + (b - d[3]) ** 2)
+            + lam * np.abs(b - a))
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    best = np.array([grid[i], grid[i], grid[j], grid[j]])
     assert np.max(np.abs(taut_string_1d(d, lam) - best)) < 5e-3
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nltv import (
@@ -17,6 +17,7 @@ from nltv import (
     OracleConfig,
     PiecewiseConstant1D,
     Spline1D,
+    Stencil,
     fit_stencil,
     kernel_eval,
     oracle_eval,
@@ -42,7 +43,7 @@ from nltv.oracle import (
     geometric_factor_2d,
     oracle_terms,
 )
-from nltv.stencil import offsets_within_reach
+from nltv.kernels import in_reach, offsets_within_reach
 
 BOX = Kernel(KernelKind.BOX1D, 4)
 WIDE = Kernel(KernelKind.BOX1D_WIDE, 6)
@@ -443,10 +444,38 @@ def _old_kink_angles(knots_x, knots_y, kernel):
     return np.array(sorted(cands))
 
 
+def _square_kink_angles(knots_x, knots_y, kernel):
+    # the square's kink set: _old_kink_angles with the knot lines x = c and
+    # y = c crossing the sides |y| = r and |x| = r, at (c, r) and (r, c), in
+    # place of the circle
+    r = kernel.support_radius
+    cands = {0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi, math.pi,
+             1.25 * math.pi, 1.5 * math.pi, 1.75 * math.pi, 2.0 * math.pi}
+    axis_vals = [abs(c) for c in knots_x + knots_y if c != 0.0]
+    for c in axis_vals:
+        if c < r:
+            for t in (math.atan2(r, c), math.atan2(c, r)):
+                for base in (t, math.pi - t, math.pi + t, 2 * math.pi - t):
+                    cands.add(base % (2 * math.pi))
+    for cx in [abs(c) for c in knots_x if c != 0.0]:
+        for cy in [abs(c) for c in knots_y if c != 0.0]:
+            t = math.atan2(cy, cx)
+            for base in (t, math.pi - t, math.pi + t, 2 * math.pi - t):
+                cands.add(base % (2 * math.pi))
+    cands.add(2.0 * math.pi)
+    return np.array(sorted(cands))
+
+
+def _reference_kink_angles(knots_x, knots_y, kernel):
+    if kernel.kind is KernelKind.SQUARE2D:
+        return _square_kink_angles(knots_x, knots_y, kernel)
+    return _old_kink_angles(knots_x, knots_y, kernel)
+
+
 def _old_polar_factor(dx, dy, h, kernel, g, theta_split, p):
     knots_x = [(dx - 1) * h, dx * h, (dx + 1) * h]
     knots_y = [(dy - 1) * h, dy * h, (dy + 1) * h]
-    thetas = _old_kink_angles(knots_x, knots_y, kernel)
+    thetas = _reference_kink_angles(knots_x, knots_y, kernel)
     for _ in range(theta_split):
         thetas = _refine(thetas)
     nodes, weights = _gauss_rule(g)
@@ -563,7 +592,7 @@ def test_kink_angles_are_byte_identical_to_the_reference(kind):
                 knots_x = [(dx - 1) * h, dx * h, (dx + 1) * h]
                 knots_y = [(dy - 1) * h, dy * h, (dy + 1) * h]
                 assert (_kink_angles(knots_x, knots_y, kernel).tobytes()
-                        == _old_kink_angles(knots_x, knots_y, kernel).tobytes())
+                        == _reference_kink_angles(knots_x, knots_y, kernel).tobytes())
 
 
 @pytest.mark.parametrize("kind", [KernelKind.DISC2D, KernelKind.SQUARE2D])
@@ -593,6 +622,86 @@ def test_polar_factor_blocks_are_bit_identical_to_the_panel_loop(kind, p):
                 for theta_split in (2, 3):
                     args = (dx, dy, 1.0 / grid, kernel, g, theta_split, p)
                     assert _polar_factor(*args).hex() == _panel_loop_polar_factor(*args).hex()
+
+
+# The square kernel's support is a sup-norm ball: it reaches the cell pairs
+# whose sup-norm gap is below r, and its boundary crosses the knot lines
+# |x| = c and |y| = c at (c, r) and (r, c), where the circle's crossings lie
+# elsewhere.
+
+
+@pytest.mark.parametrize("p, dx, dy, grid, scale", [
+    (1.0, 1, 0, 4, 3), (1.0, 1, 1, 4, 3), (2.0, 1, 0, 4, 3), (2.0, 1, 1, 4, 3),
+    (1.0, 4, 4, 16, 5),
+])
+def test_square_gauss_factor_matches_a_converged_reference(p, dx, dy, grid, scale):
+    # p = 1 and p = 2 leave the angular rule as the only error source; the
+    # reference takes 48 points a panel and six halvings of the theta panels
+    kernel = Kernel(KernelKind.SQUARE2D, scale)
+    got, _ = geometric_factor_2d((dx, dy), grid, kernel, OracleConfig(method="gauss", p=p))
+    ref = _polar_factor(dx, dy, 1.0 / grid, kernel, 48, 6, p)
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_square_factor_of_a_far_corner_matches_a_direct_monte_carlo():
+    # x in the cell at the origin and y in the cell at (4, 4) on 12^2: the
+    # pair's sup-norm gap 3h lies below r = 4h. The factor counts both
+    # orientations of the pair, so it is twice the integral of
+    # phi(x - y) / |x - y| over the two cells.
+    h, kernel = 1.0 / 12, Kernel(KernelKind.SQUARE2D, 3)
+    rng = np.random.default_rng(11)
+    vals = []
+    for _ in range(8):
+        u = rng.uniform(0.0, h, (250_000, 2)) + 4 * h - rng.uniform(0.0, h, (250_000, 2))
+        inside = np.abs(u).max(axis=1) <= kernel.support_radius
+        vals.append(np.where(inside, 2.0 * kernel.height * h ** 4 / np.hypot(*u.T), 0.0))
+    vals = np.concatenate(vals)
+    mean, stderr = vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
+    got, _ = geometric_factor_2d((4, 4), 12, kernel, OracleConfig(method="gauss"))
+    assert got > 0.0 and abs(got - mean) <= 3.0 * stderr
+
+
+@pytest.mark.parametrize("grid, scale", [(12, 3), (64, 4)])
+def test_square_oracle_eval_sums_every_offset_of_the_bounding_box(grid, scale):
+    # every offset of the kernel's bounding box, at most r/h + 1 cells on
+    # each axis, with its polar factor taken without the reach rule: the
+    # offsets out of reach add 0
+    kernel = Kernel(KernelKind.SQUARE2D, scale)
+    a = np.random.default_rng(grid).uniform(size=(grid, grid))
+    cfg = OracleConfig(method="gauss")
+    box = min(grid // scale + 1, grid - 1)
+    factors = {}
+    want = 0.0
+    for dx in range(box + 1):
+        for dy in range(-box, box + 1):
+            if dx > 0 or dy > 0:
+                key = (max(dx, abs(dy)), min(dx, abs(dy)))
+                if key not in factors:
+                    factors[key] = _polar_factor(*key, 1.0 / grid, kernel,
+                                                 cfg.points_per_cell_axis, 3, cfg.p)
+                want += factors[key] * Stencil(a.shape, [((dx, dy), 1.0)]).value(a, cfg.p)
+    assert abs(oracle_eval(Image2D(a), kernel, cfg).value - want) <= 1e-12 * want
+
+
+@st.composite
+def _reach_cases(draw):
+    # a 2D kernel, a grid and a canonical offset (dx, dy), dx >= dy >= 0, on it
+    grid = draw(st.integers(2, 12))
+    dx = draw(st.integers(1, grid - 1))
+    return (Kernel(draw(st.sampled_from([KernelKind.DISC2D, KernelKind.SQUARE2D])),
+                   draw(st.integers(1, 6))), grid, (dx, draw(st.integers(0, dx))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_reach_cases())
+@example(case=(Kernel(KernelKind.SQUARE2D, 3), 12, (4, 4)))
+@example(case=(Kernel(KernelKind.SQUARE2D, 1), 7, (6, 6)))
+def test_an_offset_is_in_reach_exactly_when_its_factor_is_positive(case):
+    # the p = 1 polar factor, without the reach rule, is 0 exactly where no
+    # pair of cells at the offset meets the support
+    kernel, grid, offset = case
+    factor = _polar_factor(*offset, 1.0 / grid, kernel, 8, 3, 1.0)
+    assert in_reach(kernel, grid, offset) == (factor > 0.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
