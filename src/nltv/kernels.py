@@ -76,10 +76,12 @@ class Kernel:
             return np.maximum(np.abs(u[0]), np.abs(u[1]))
         return np.sqrt(sum(a * a for a in u))
 
-    def outside(self, u, euclidean):
+    def outside(self, u, euclidean, out):
         """Where the offsets ``u`` (one array per axis) lie outside the
-        support, given their Euclidean norm as :meth:`norm` computes it."""
-        return (self.norm(u) if self.sup_norm else euclidean) > self.support_radius
+        support, into the boolean array ``out``, given their Euclidean norm
+        as :meth:`norm` computes it."""
+        return np.greater(self.norm(u) if self.sup_norm else euclidean,
+                          self.support_radius, out=out)
 
     def cap(self, c, s):
         """Distance from the origin to the boundary of the 2D support along

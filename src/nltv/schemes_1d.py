@@ -11,6 +11,7 @@ Three element families on the unit interval, each with its matched kernel:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,6 +30,20 @@ _INTERP_DIRECT_MAX = 1024
 _INTERP_BLOCK = 1 << 15
 _INTERP_MAX_BINS = 1 << 20
 _BIN_MARGIN = 1e-9
+# each thread's scratch arrays of the block loop, kept between calls: no call
+# reads what an earlier one left in them
+_BLOCK_WORK = threading.local()
+
+
+def _block_work(size: int):
+    """The calling thread's two float, one index and two boolean arrays of at
+    least ``size`` elements, made once per thread and size: a thread that
+    evaluates blocks of one size allocates nothing after its first call."""
+    work = getattr(_BLOCK_WORK, "arrays", None)
+    if work is None or work[0].size < size:
+        work = _BLOCK_WORK.arrays = (np.empty(size), np.empty(size), np.empty(size, np.intp),
+                                     np.empty(size, bool), np.empty(size, bool))
+    return work
 
 
 def _as_finite_vector(values, name: str) -> np.ndarray:
@@ -114,29 +129,31 @@ class Spline1D:
         if out is None:
             out = np.empty(x.shape)
         flat_out = out.reshape(-1)
-        size = min(_INTERP_BLOCK, flat.size)
-        work = np.empty(size)
-        bins = np.empty(size, dtype=np.intp)
+        work = _block_work(min(_INTERP_BLOCK, flat.size))
         # far-out points overflow or meet inf; they all take the slow path
         with np.errstate(all="ignore"):
             for lo in range(0, flat.size, _INTERP_BLOCK):
                 xb = flat[lo:lo + _INTERP_BLOCK]
                 ob = flat_out[lo:lo + _INTERP_BLOCK]
-                wb, jb = work[:xb.size], bins[:xb.size]
-                # fmax/fmin also map nan to a valid bin
-                np.fmin(np.fmax(np.multiply(xb, n, out=wb), 0.0, out=wb), n - 1, out=wb)
-                jb[...] = wb
+                wb, fb, jb, sb, eb = (a[:xb.size] for a in work)
+                # fmax/fmin also map nan to a valid bin, whose integer value
+                # fb keeps as a float: subtracting jb itself would cast it
+                # through a buffer
+                np.fmin(np.fmax(np.multiply(xb, n, out=fb), 0.0, out=fb), n - 1, out=fb)
+                np.trunc(fb, out=fb)
+                jb[...] = fb
                 # the fraction of x * n past its bin
-                np.subtract(np.multiply(xb, n, out=wb), jb, out=wb)
-                slow = (wb <= _BIN_MARGIN) | (wb >= 1.0 - _BIN_MARGIN)
+                np.subtract(np.multiply(xb, n, out=wb), fb, out=wb)
+                np.less_equal(wb, _BIN_MARGIN, out=sb)
+                sb |= np.greater_equal(wb, 1.0 - _BIN_MARGIN, out=eb)
                 # ob may be xb itself, so the slow points are copied first
-                x_slow = xb[slow] if slow.any() else None
+                x_slow = xb[sb] if sb.any() else None
                 # every bin is valid, and take buffers ``out`` unless it clips
                 np.subtract(xb, np.take(grid, jb, out=wb, mode="clip"), out=wb)
                 np.multiply(np.take(slopes, jb, out=ob, mode="clip"), wb, out=ob)
                 ob += np.take(nodes, jb, out=wb, mode="clip")
                 if x_slow is not None:
-                    ob[slow] = np.interp(x_slow, grid, nodes)
+                    ob[sb] = np.interp(x_slow, grid, nodes)
         return out
 
 

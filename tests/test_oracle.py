@@ -212,7 +212,7 @@ def test_kernel_values_2d_match_kernel_eval(kind):
     u2 = np.concatenate([r * np.sin(theta), grid_y.ravel(),
                          rng.uniform(-2 * r, 2 * r, 2000)])
     expected = [kernel_eval(kernel, (a, b)) for a, b in zip(u1, u2)]
-    norm, outside = _norm_outside(kernel, (u1, u2))
+    norm, outside = _norm_outside(kernel)((u1, u2))
     assert np.array_equal(norm, np.sqrt(u1 * u1 + u2 * u2))
     assert np.array_equal(np.where(outside, 0.0, kernel.height), expected)
     if kind is KernelKind.DISC2D:
@@ -1058,6 +1058,47 @@ def test_callable_2d_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
     # temporaries: 9.7 to 10.2 chunk arrays per thread seen
     _assert_peak_is_chunks_per_thread(monkeypatch, lambda x, y: np.sin(3 * x) + y * y,
                                       Kernel(KernelKind.SQUARE2D, 8), 12)
+
+
+def _second_call_peak(fn, draws):
+    # tracemalloc peak of fn on fresh copies of the draws, after one warm-up
+    fn(*[d.copy() for d in draws])
+    fresh = [d.copy() for d in draws]
+    tracemalloc.start()
+    try:
+        fn(*fresh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_MC_CFG = OracleConfig(method="mc", samples=50_000, seed=3)
+
+
+@pytest.mark.parametrize("evaluate", [
+    # the singular 1D factor samples a power-transformed piece and a plain one
+    pytest.param(lambda: _factor.__wrapped__((1,), 8, KernelKind.BOX1D, 4, "mc", 8,
+                                             50_000, 3, 1.5), id="1d-factor"),
+    pytest.param(lambda: _factor.__wrapped__((2, 1), 6, KernelKind.DISC2D, 3, "mc", 8,
+                                             50_000, 3, 1.0), id="2d-disc-factor"),
+    pytest.param(lambda: oracle._curve_mc(
+        Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129)),
+        Kernel(KernelKind.BOX1D, 128), _MC_CFG), id="spline-curve"),
+    # a callable that allocates nothing itself
+    pytest.param(lambda: oracle._curve_mc(lambda x, y: x, Kernel(KernelKind.DISC2D, 8),
+                                          _MC_CFG), id="2d-disc-curve"),
+])
+def test_mc_integrands_allocate_nothing_after_their_first_box(monkeypatch, evaluate):
+    # a box of 32,768 points: one float array is 256 KiB, one boolean 32 KiB
+    integrands = []
+    monkeypatch.setattr(oracle, "_stratified_mc",
+                        lambda fn, axes, *args: integrands.append((fn, axes)) or (0.0, 0.0))
+    evaluate()
+    assert integrands
+    rng = np.random.default_rng(5)
+    for fn, axes in integrands:
+        draws = [rng.uniform(a[0], a[-1], 1 << 15) for a in axes]
+        assert _second_call_peak(fn, draws) < 64 * 1024
 
 
 def test_mc_reports_hold_python_floats():

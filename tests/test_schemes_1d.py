@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,23 @@ def test_spline_grid_and_slopes_are_built_once(monkeypatch):
     monkeypatch.setattr(np, "diff", no_rebuild)
     assert np.array_equal(f(points), expected)
     assert np.array_equal(f(points[:10]), expected[:10])
+
+
+def test_spline_call_into_its_input_allocates_nothing_after_the_first():
+    # 32,768 points: a float or index array of them is 256 KiB
+    spline = Spline1D(np.random.default_rng(3).uniform(0.0, 1.0, 129))
+    points = np.random.default_rng(4).uniform(0.0, 1.0, 1 << 15)
+    x = points.copy()
+    spline(x, out=x)
+    x = points.copy()
+    tracemalloc.start()
+    try:
+        assert Spline1D(spline.nodes)(x, out=x) is x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert np.array_equal(x, spline(points))
 
 
 _DIRECT = schemes_1d._INTERP_DIRECT_MAX
