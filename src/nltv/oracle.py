@@ -15,15 +15,16 @@ Two methods are available:
   for splines and callbacks a band |x - y| < delta is excluded and the value
   extrapolated linearly in delta.
 * ``mc``: stratified Monte Carlo through one sampler, ``_stratified_mc``,
-  with one counter-based stream per task derived from (seed, task id). A
-  run of strata can jump to its own draws of that stream, so large budgets
-  run on up to one thread per available CPU and the results are the same
-  bit for bit whatever the thread count. Large budgets cut the strata of
-  the first axis into pieces of at most 32,768 points, so an integrand gets
-  one stratum of at most 32,768 points per call and must act element-wise,
-  and each thread holds arrays of that size only.
+  with one PCG64DXSM stream per task seeded from (seed, task id). A run of
+  strata can jump to its own draws of that stream, so large budgets run on
+  up to one thread per available CPU and the results are the same bit for
+  bit whatever the thread count. Large budgets cut the strata of the first
+  axis into pieces of at most 32,768 points, so an integrand gets one
+  stratum of at most 32,768 points per call and must act element-wise, and
+  each thread holds arrays of that size only, its draws and scratch made
+  once per task.
   ``_curve_mc`` gives 1D and 2D curves 16 strata over the offset u and at
-  least 16,000 samples, so a 2D callable threads from 131,072 samples on.
+  least 16,000 samples, so a 2D callable threads from 262,144 samples on.
 
 Geometric factors depend only on the relative cell offset. Both dimensions
 share one cached pair factor, ``_factor``, keyed by the canonical offset
@@ -51,10 +52,12 @@ MONTE_CARLO = "mc"
 
 _MIN_MC_SAMPLES = 10_000
 _STRATA = 16
-# raw draws per box from which the boxes are spread over threads: on a 2-CPU
-# host, two threads broke even with one near 32,000 draws per box for the 1D
-# and 2D pair factors and the spline curve, and were slower below that
-_THREAD_DRAWS = 32_768
+# raw draws per stratum from which the boxes are spread over threads: on a
+# 2-CPU host with PCG64DXSM draws, two threads took 1.05-1.29 times as long
+# as one at 32,768 draws for the 2D pair factor and the spline curve (the 1D
+# factor 0.90-0.98) and 1.33-1.65 times at 16,384, but 0.83-0.96 times at
+# 65,536 (the 1D factor 0.89-1.09)
+_THREAD_DRAWS = 1 << 16
 # most points per axis in a stratum, and so per integrand call, a measured
 # trade-off when it was the chunk of a longer stratum: the spline verify at
 # 2e7 samples was slower at 16,384 and took more memory at 65,536
@@ -114,12 +117,12 @@ class EvalReport:
 
 
 def _stream(seed: int, task: int, start: int = 0) -> np.random.Generator:
-    """The counter-based stream of (seed, task), positioned at its raw draw
-    ``start``; one uniform double takes one raw draw, and Philox4x64 makes
-    four raw draws per counter step."""
-    bits = np.random.Philox(key=[np.uint64(seed), np.uint64(task)])
-    bits.advance(start // 4)
-    bits.random_raw(start % 4)
+    """The stream of (seed, task), positioned at its raw draw ``start``: a
+    PCG64DXSM generator seeded from ``SeedSequence([seed, task])``, which
+    jumps ahead by any number of raw draws; one uniform double takes one raw
+    draw."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence([seed, task]))
+    bits.advance(start)
     return np.random.Generator(bits)
 
 

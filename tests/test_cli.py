@@ -502,7 +502,7 @@ def test_verify_sample_floor_binds_monte_carlo_only(capsys):
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("method", ["mc", "gauss"])
 def test_verify_seed_beyond_64_bits_is_a_usage_error(capsys, method, seed):
-    # the Philox key words of the MC streams are 64 bits
+    # seeds stay the 64-bit words that the MC streams have always taken
     assert main(["verify", "--family", "pc", "--n", "4", "--method", method,
                  "--seed", str(seed)]) == 1
     assert (capsys.readouterr().err

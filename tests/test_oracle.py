@@ -832,7 +832,7 @@ def _in_place(fn):
 
 
 @pytest.mark.parametrize("axes, nsamples, start", [
-    # one axis: 16 boxes of 7 draws, so no box starts on a Philox block
+    # one axis: 16 boxes of 7 draws, so the boxes start at odd raw draws too
     ([np.linspace(-0.3, 0.9, 17)], 16 * 7 + 3, 0),
     ([np.linspace(-0.3, 0.9, 17)], 16 * 7, 5),
     # three boxes, which no thread count here splits evenly
@@ -860,9 +860,9 @@ def test_threaded_sampler_is_bit_identical_to_the_sequential_loop(cpus, axes, ns
 
 @pytest.mark.parametrize("p", [1.5, 1.8])
 def test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p):
-    # the second piece draws from where the first one ended; 2 * 16 * per is
-    # a multiple of 4 only for even per, and with oracle._CHUNK patched the
-    # first piece's cut boxes hold fewer draws than 16 uncut ones
+    # the second piece draws from where the first one ended, and with
+    # oracle._CHUNK patched the first piece's cut boxes hold fewer draws than
+    # 16 uncut ones
     for nsamples in (50_000, 32 * 3, 32 * 1001):
         for grid_m, kscale in [(8, 4), (8, 16)]:
             kernel = Kernel(KernelKind.BOX1D, kscale)
@@ -930,11 +930,12 @@ def test_small_budgets_run_on_the_calling_thread(monkeypatch):
         callers.clear()
         oracle_eval(f, kernel, OracleConfig(method="mc", samples=samples, seed=1))
         assert (callers == {main}) if on_main else (main not in callers)
-    # one axis of one point past a chunk per stratum, cut into boxes of half
-    # a chunk: the thread rule counts the draws of a stratum before the cut
+    # one axis of two points past the threshold per stratum, cut into three
+    # boxes of a third of that: the thread rule counts the draws of a
+    # stratum before the cut
     callers.clear()
     _stratified_mc(lambda x: callers.add(threading.get_ident()) or x,
-                   [np.linspace(0.0, 1.0, 17)], 16 * (oracle._CHUNK + 1), (1, 2))
+                   [np.linspace(0.0, 1.0, 17)], 16 * (oracle._THREAD_DRAWS + 2), (1, 2))
     assert main not in callers
 
 
@@ -950,7 +951,7 @@ def test_cut_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypatch, 
                                                              per, in_place):
     # chunks of 8 points: a box below, at, one past and between multiples of
     # the chunk, cut into one, one, two and three pieces of fewer points, so
-    # that runs start mid Philox block
+    # that runs start between the first draws of uncut boxes
     monkeypatch.setattr(oracle, "_CHUNK", 8)
 
     def fn(*arrays):
@@ -977,12 +978,34 @@ def test_sampler_builds_one_stream_per_run(cpus, monkeypatch, per):
     assert len(built) == min(cpus, 3 * -(-per // 8))
 
 
+_TASKS = st.integers(0, 64) | st.builds(lambda dx, dy: 1024 * dx + dy,
+                                        st.integers(0, 1023), st.integers(0, 1023))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), task=_TASKS, start=st.integers(0, 4 * 10 ** 6))
+@example(seed=2 ** 64 - 1, task=1024 * 1023 + 1023, start=4 * 10 ** 6)
+@example(seed=0, task=0, start=1)
+def test_positioned_stream_continues_the_stream(seed, task, start):
+    # thread-count invariance rests on this: each run of boxes starts its own
+    # copy of the stream at its first raw draw, and sees there the doubles
+    # that one stream drawn from the start gives
+    ref = _stream(seed, task)
+    for size in [1 << 16] * (start >> 16) + [start & 0xFFFF]:
+        ref.random(size)
+    assert _stream(seed, task, start).random(64).tobytes() == ref.random(64).tobytes()
+    # and two tasks of one seed draw different streams
+    other = task + 1 if task % 1024 < 1023 else task - 1
+    assert (_stream(seed, task, start).random(4).tobytes()
+            != _stream(seed, other, start).random(4).tobytes())
+
+
 @settings(max_examples=200, deadline=None)
 @given(ends=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(sorted),
        size=st.integers(1, 3000), seed=st.integers(0, 2 ** 64 - 1),
        start=st.integers(0, 4 * 10 ** 6))
 def test_scaled_random_draws_equal_uniform(ends, size, seed, start):
-    # the sampler's draws, from any raw draw of a stream, also mid Philox block
+    # the sampler's draws, from any raw draw of a stream
     lo, hi = ends
     rng, ref = _stream(seed, 3, start), _stream(seed, 3, start)
     buf = np.empty(size)
