@@ -76,12 +76,18 @@ class Kernel:
             return np.maximum(np.abs(u[0]), np.abs(u[1]))
         return np.sqrt(sum(a * a for a in u))
 
-    def outside(self, u, euclidean, out):
+    def outside(self, u, euclidean, out, spare):
         """Where the offsets ``u`` (one array per axis) lie outside the
         support, into the boolean array ``out``, given their Euclidean norm
-        as :meth:`norm` computes it."""
-        return np.greater(self.norm(u) if self.sup_norm else euclidean,
-                          self.support_radius, out=out)
+        as :meth:`norm` computes it. The sup norm needs only the boolean
+        ``spare``: |a| > r is exactly a > r or a < -r."""
+        if not self.sup_norm:
+            return np.greater(euclidean, self.support_radius, out=out)
+        out.fill(False)
+        for a in u:
+            out |= np.greater(a, self.support_radius, out=spare)
+            out |= np.less(a, -self.support_radius, out=spare)
+        return out
 
     def cap(self, c, s):
         """Distance from the origin to the boundary of the 2D support along

@@ -31,7 +31,7 @@ import numpy as np
 
 from .kernels import Kernel, KernelKind, kpn
 from .oracle import GAUSS, OracleConfig, oracle_terms
-from .schemes_1d import BOX2_WEIGHTS
+from .schemes_1d import BOX2_TERMS, BOX_TERMS
 from .schemes_2d import stencil_weights
 from .stencil import Stencil
 
@@ -175,11 +175,9 @@ def _regularizer_terms(params: EnergyParams) -> list:
     n = params.grid_n
     kind = params.kernel.kind
     if params.scheme == SCHEME_CLOSED_1D:
-        if kind is KernelKind.BOX1D:
-            return [((1,), 1.0)]
-        if n < 2:
+        if kind is KernelKind.BOX1D_WIDE and n < 2:
             raise ValueError("the double-width scheme needs n >= 2")
-        return [((1,), BOX2_WEIGHTS[0]), ((2,), BOX2_WEIGHTS[1])]
+        return list(BOX_TERMS if kind is KernelKind.BOX1D else BOX2_TERMS)
     if params.scheme == SCHEME_CLOSED_2D:
         w = stencil_weights(kind, n)
         return [((0, 1), w.lateral), ((1, 0), w.lateral),

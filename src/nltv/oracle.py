@@ -21,8 +21,8 @@ Two methods are available:
   bit whatever the thread count. Large budgets cut the strata of the first
   axis into pieces of at most 32,768 points, so an integrand gets one
   stratum of at most 32,768 points per call and must act element-wise, and
-  each thread holds arrays of that size only, its draws and scratch made
-  once per task.
+  each thread holds arrays of that size only: draws made once per task,
+  scratch once per thread and evaluation by ``schemes_1d.per_thread``.
   ``_curve_mc`` gives 1D and 2D curves 16 strata over the offset u and at
   least 16,000 samples, so a 2D callable threads from 262,144 samples on.
 
@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .kernels import Kernel, KernelKind, in_reach, offsets_within_reach
-from .schemes_1d import PiecewiseConstant1D, Spline1D
+from .schemes_1d import PiecewiseConstant1D, Spline1D, per_thread
 from .schemes_2d import Image2D, StencilWeights
 from .stencil import Stencil
 
@@ -180,15 +179,14 @@ def _strata(axes, nsamples: int):
     """The strata of ``nsamples`` points over the product grid of ``axes``
     once each interval of the first axis is cut evenly into the fewest
     pieces that hold at most ``_CHUNK`` points: returns the cut axes, the
-    number of boxes, the points per box and the pieces per interval."""
+    number of boxes, the points per box and a stratum's raw draws uncut."""
     # at least two points a box, for its standard deviation
     per = max(2, nsamples // math.prod(len(e) - 1 for e in axes))
     cut = -(-per // _CHUNK)
     e = np.asarray(axes[0], dtype=float)
     e = np.append(np.linspace(e[:-1], e[1:], cut, endpoint=False, axis=1), e[-1])
-    axes = [e, *axes[1:]]
-    boxes = math.prod(len(a) - 1 for a in axes)
-    return axes, boxes, max(2, nsamples // boxes), cut
+    boxes = cut * math.prod(len(a) - 1 for a in axes)
+    return [e, *axes[1:]], boxes, max(2, nsamples // boxes), len(axes) * per
 
 
 def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
@@ -204,13 +202,13 @@ def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
 
     The boxes are cut into one contiguous run per thread, and each run
     starts its own copy of the stream at its first draw. Budgets of at least
-    ``_THREAD_DRAWS`` raw draws per box before the cut run on up to one
+    ``_THREAD_DRAWS`` raw draws per stratum before the cut run on up to one
     thread per available CPU, so ``fn`` may be called from several threads
     at once; smaller ones run on one. The box moments are added in box
     order, so the thread count does not change the result. Returns the
     estimate and its standard error.
     """
-    axes, boxes, per, cut = _strata(axes, nsamples)
+    axes, boxes, per, stratum_draws = _strata(axes, nsamples)
     shape = [len(a) - 1 for a in axes]
     draws = len(axes) * per
 
@@ -231,7 +229,7 @@ def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
                 buf += lo
             moments[b] = _moments(fn(*bufs))
 
-    threads = _threads(boxes, cut * draws)
+    threads = _threads(boxes, stratum_draws)
     if threads == 1:
         run(0, boxes)
     else:
@@ -258,43 +256,24 @@ def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
     return np.maximum(t, 0.0, out=t)
 
 
-def _per_thread(*dtypes):
-    """A function of ``size`` that gives the calling thread one array of
-    ``size`` elements per dtype: the same arrays for every call of that size
-    on that thread, so an integrand called on boxes of one size allocates
-    its scratch once per thread. Each evaluation makes its own, so a
-    callable that runs the oracle itself gets other arrays."""
-    sets = {}
-
-    def arrays(size: int):
-        # each thread reads and writes its own key only
-        key = threading.get_ident()
-        got = sets.get(key)
-        if got is None or got[0].size != size:
-            got = sets[key] = [np.empty(size, dtype=dt) for dt in dtypes]
-        return got
-
-    return arrays
-
-
 def _norm_outside(kernel: Kernel):
     """A function of the offsets ``u`` (one array per axis) that returns
     their Euclidean norm and where ``kernel_eval`` vanishes at them
-    (``Kernel.outside``), in ``_per_thread`` arrays; the mask is None in 1D,
+    (``Kernel.outside``), in ``per_thread`` arrays; the mask is None in 1D,
     where every sampled offset lies in the support. It leaves ``u`` as it
     is."""
-    work = _per_thread(float) if kernel.dim == 1 else _per_thread(float, float, bool)
+    work = per_thread(float) if kernel.dim == 1 else per_thread(float, float, bool, bool)
 
     def norm_outside(u):
         arrays = work(u[0].size)
         if kernel.dim == 1:
             return np.abs(u[0], out=arrays[0]), None
         # in place, the arithmetic of Kernel.norm
-        norm, spare, outside = arrays
+        norm, spare, outside, spare_mask = arrays
         np.multiply(u[0], u[0], out=norm)
         norm += np.multiply(u[1], u[1], out=spare)
         np.sqrt(norm, out=norm)
-        return norm, kernel.outside(u, norm, out=outside)
+        return norm, kernel.outside(u, norm, outside, spare_mask)
 
     return norm_outside
 
@@ -307,7 +286,7 @@ def _power_transformed(fn, b: float, p: float):
     # maps the u^{1-p}-singular integral over [0, b] to a bounded one on [0, 1];
     # overwrites v and returns the values in it, and fn may overwrite u
     q = 2.0 - p
-    work = _per_thread(float)
+    work = per_thread(float)
 
     def wrapped(v):
         np.maximum(v, 1e-300, out=v)
@@ -580,7 +559,7 @@ def _curve_mc(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     evaluate = (lambda t: func(t, out=t)) if isinstance(func, Spline1D) else func
 
     norm_outside = _norm_outside(kernel)
-    masks = _per_thread(bool, bool)
+    masks = per_thread(bool, bool)
 
     def integrand(*arrays):
         # overwrites every array; y lands in u and the values in the last x

@@ -17,10 +17,13 @@ from typing import Callable
 
 import numpy as np
 
+from .stencil import Stencil
+
 _LN2 = math.log(2.0)
 
-# box2 pair weights of the adjacent and the second differences
-BOX2_WEIGHTS = (_LN2, 0.5 * (1.0 - _LN2))
+# the (offset, weight) terms, R(f) = sum w |a_i - a_{i+o}|, of box and box2
+BOX_TERMS = (((1,), 1.0),)
+BOX2_TERMS = (((1,), _LN2), ((2,), 0.5 * (1.0 - _LN2)))
 
 # Spline1D evaluation: inputs up to this size go straight to np.interp (its
 # binary search is faster there), larger ones are split into blocks of
@@ -30,20 +33,26 @@ _INTERP_DIRECT_MAX = 1024
 _INTERP_BLOCK = 1 << 15
 _INTERP_MAX_BINS = 1 << 20
 _BIN_MARGIN = 1e-9
-# each thread's scratch arrays of the block loop, kept between calls: no call
-# reads what an earlier one left in them
-_BLOCK_WORK = threading.local()
 
 
-def _block_work(size: int):
-    """The calling thread's two float, one index and two boolean arrays of at
-    least ``size`` elements, made once per thread and size: a thread that
-    evaluates blocks of one size allocates nothing after its first call."""
-    work = getattr(_BLOCK_WORK, "arrays", None)
-    if work is None or work[0].size < size:
-        work = _BLOCK_WORK.arrays = (np.empty(size), np.empty(size), np.empty(size, np.intp),
-                                     np.empty(size, bool), np.empty(size, bool))
-    return work
+def per_thread(*dtypes):
+    """A function of ``size`` giving the calling thread one array of that
+    size per dtype: views of arrays made on its first call and grown to the
+    largest size it asks for. Each call of ``per_thread`` makes its own
+    store, so a callable that runs the oracle itself gets other arrays."""
+    store = threading.local()
+
+    def arrays(size: int):
+        got = getattr(store, "arrays", None)
+        if got is None or got[0].size < size:
+            got = store.arrays = [np.empty(size, dtype=dt) for dt in dtypes]
+        return [a[:size] for a in got]
+
+    return arrays
+
+
+# the block loop's scratch, kept per thread between calls
+_lookup_work = per_thread(float, float, np.intp, bool, bool)
 
 
 def _as_finite_vector(values, name: str) -> np.ndarray:
@@ -129,13 +138,12 @@ class Spline1D:
         if out is None:
             out = np.empty(x.shape)
         flat_out = out.reshape(-1)
-        work = _block_work(min(_INTERP_BLOCK, flat.size))
         # far-out points overflow or meet inf; they all take the slow path
         with np.errstate(all="ignore"):
             for lo in range(0, flat.size, _INTERP_BLOCK):
                 xb = flat[lo:lo + _INTERP_BLOCK]
                 ob = flat_out[lo:lo + _INTERP_BLOCK]
-                wb, fb, jb, sb, eb = (a[:xb.size] for a in work)
+                wb, fb, jb, sb, eb = _lookup_work(xb.size)
                 # fmax/fmin also map nan to a valid bin, whose integer value
                 # fb keeps as a float: subtracting jb itself would cast it
                 # through a buffer
@@ -191,6 +199,15 @@ def haar_function(idx: HaarIndex) -> PiecewiseConstant1D:
     return PiecewiseConstant1D(coeffs)
 
 
+def _ordered_sum(a: np.ndarray, terms) -> float:
+    """sum of w |a_i - a_{i+o}| over the stencil's pairs, added left to right
+    by ``np.cumsum``: the plain loop over terms, then cells, bit for bit
+    (``Stencil.value``'s dot product adds in another order)."""
+    stencil = Stencil(a.shape, terms)
+    t = stencil.pair_weights() * np.abs(stencil.gather(a))
+    return float(np.cumsum(t)[-1]) if t.size else 0.0
+
+
 def eval_pc_box(f: PiecewiseConstant1D) -> float:
     """Nonlocal TV of a piecewise constant under the matched box kernel.
 
@@ -198,11 +215,7 @@ def eval_pc_box(f: PiecewiseConstant1D) -> float:
     sum is accumulated left to right so the result is bit-identical to the
     plain loop it claims to be.
     """
-    a = f.coeffs
-    total = 0.0
-    for i in range(1, a.size):
-        total += abs(float(a[i]) - float(a[i - 1]))
-    return total
+    return _ordered_sum(f.coeffs, BOX_TERMS)
 
 
 def eval_pc_box_wide(f: PiecewiseConstant1D) -> float:
@@ -211,14 +224,7 @@ def eval_pc_box_wide(f: PiecewiseConstant1D) -> float:
     second differences."""
     if f.n < 2:
         raise ValueError("the double-width scheme needs at least two cells")
-    a = f.coeffs
-    adjacent, second = BOX2_WEIGHTS
-    total = 0.0
-    for i in range(1, a.size):
-        total += adjacent * abs(float(a[i]) - float(a[i - 1]))
-    for i in range(1, a.size - 1):
-        total += second * abs(float(a[i + 1]) - float(a[i - 1]))
-    return total
+    return _ordered_sum(f.coeffs, BOX2_TERMS)
 
 
 def _spline_edge_term(am: float, a0: float, ap: float) -> float:
@@ -236,9 +242,8 @@ def eval_spline(f: Spline1D) -> float:
     if f.n < 2:
         raise ValueError("the spline scheme needs at least two intervals")
     a = f.nodes
-    total = 0.0
-    for i in range(1, a.size):
-        total += abs(float(a[i]) - float(a[i - 1])) / 2.0
+    # half the TV: |d| * 0.5 is |d| / 2.0 exactly
+    total = _ordered_sum(a, (((1,), 0.5),))
     for i in range(1, a.size - 1):
         total += _spline_edge_term(float(a[i - 1]), float(a[i]), float(a[i + 1]))
     return total

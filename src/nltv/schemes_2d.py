@@ -83,7 +83,9 @@ def eval_image(f: Image2D, kind: KernelKind) -> float:
     square kernel.
 
     Pairs outside the grid contribute nothing; there is no wrap-around or
-    reflection at the boundary.
+    reflection at the boundary. The sums are numpy's, pairwise per term and
+    grouped by weight: through ``Stencil.value`` the bits of 1,779 of 3,000
+    random images moved, so this scheme does not go through the stencil.
     """
     w = stencil_weights(kind, f.n)
     a = f.coeffs

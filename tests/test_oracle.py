@@ -930,13 +930,32 @@ def test_small_budgets_run_on_the_calling_thread(monkeypatch):
         callers.clear()
         oracle_eval(f, kernel, OracleConfig(method="mc", samples=samples, seed=1))
         assert (callers == {main}) if on_main else (main not in callers)
-    # one axis of two points past the threshold per stratum, cut into three
-    # boxes of a third of that: the thread rule counts the draws of a
-    # stratum before the cut
-    callers.clear()
-    _stratified_mc(lambda x: callers.add(threading.get_ident()) or x,
-                   [np.linspace(0.0, 1.0, 17)], 16 * (oracle._THREAD_DRAWS + 2), (1, 2))
-    assert main not in callers
+    # one axis of one and of two points past the threshold per stratum, cut
+    # into three boxes: the thread rule counts the draws of a stratum before
+    # the cut, where three boxes of 65,537 // 3 draws are one below it
+    for extra in (1, 2):
+        callers.clear()
+        _stratified_mc(lambda x: callers.add(threading.get_ident()) or x,
+                       [np.linspace(0.0, 1.0, 17)], 16 * (oracle._THREAD_DRAWS + extra),
+                       (1, 2))
+        assert callers and main not in callers
+
+
+def test_a_callable_that_runs_the_oracle_gets_other_arrays(cpus):
+    # the inner evaluation runs between the outer integrand's making of its
+    # norm and masks and their use, and on one CPU on the same thread
+    square = Kernel(KernelKind.SQUARE2D, 8)
+    inner_cfg = OracleConfig(method="mc", samples=16_000, seed=2)
+
+    def inner():
+        return oracle_eval(lambda x, y: x * y, square, inner_cfg).value
+
+    value = inner()
+    cfg = OracleConfig(method="mc", samples=30_001, seed=6)
+    nested = oracle_eval(lambda x, y: np.sin(3 * x) + inner() * y, square, cfg)
+    flat = oracle_eval(lambda x, y: np.sin(3 * x) + value * y, square, cfg)
+    assert (_hex_pair((nested.value, nested.stderr_estimate))
+            == _hex_pair((flat.value, flat.stderr_estimate)))
 
 
 @pytest.mark.parametrize("per", [5, 8, 9, 21], ids=lambda n: f"per{n}")
@@ -1104,12 +1123,16 @@ _MC_CFG = OracleConfig(method="mc", samples=50_000, seed=3)
                                              50_000, 3, 1.5), id="1d-factor"),
     pytest.param(lambda: _factor.__wrapped__((2, 1), 6, KernelKind.DISC2D, 3, "mc", 8,
                                              50_000, 3, 1.0), id="2d-disc-factor"),
+    pytest.param(lambda: _factor.__wrapped__((2, 1), 6, KernelKind.SQUARE2D, 3, "mc", 8,
+                                             50_000, 3, 1.0), id="2d-square-factor"),
     pytest.param(lambda: oracle._curve_mc(
         Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129)),
         Kernel(KernelKind.BOX1D, 128), _MC_CFG), id="spline-curve"),
     # a callable that allocates nothing itself
     pytest.param(lambda: oracle._curve_mc(lambda x, y: x, Kernel(KernelKind.DISC2D, 8),
                                           _MC_CFG), id="2d-disc-curve"),
+    pytest.param(lambda: oracle._curve_mc(lambda x, y: x, Kernel(KernelKind.SQUARE2D, 8),
+                                          _MC_CFG), id="2d-square-curve"),
 ])
 def test_mc_integrands_allocate_nothing_after_their_first_box(monkeypatch, evaluate):
     # a box of 32,768 points: one float array is 256 KiB, one boolean 32 KiB

@@ -40,6 +40,25 @@ def test_pc_box_is_the_plain_difference_loop():
         assert eval_pc_box(PiecewiseConstant1D(a)) == total
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-1e12, 1e12), min_size=3, max_size=300))
+def test_pc_box_wide_and_spline_are_their_plain_loops(values):
+    # the stencil sums add left to right, terms in order, as these loops do
+    a = np.array(values)
+    wide = 0.0
+    for i in range(1, a.size):
+        wide += LN2 * abs(float(a[i]) - float(a[i - 1]))
+    for i in range(1, a.size - 1):
+        wide += 0.5 * (1.0 - LN2) * abs(float(a[i + 1]) - float(a[i - 1]))
+    assert eval_pc_box_wide(PiecewiseConstant1D(a)).hex() == wide.hex()
+    spline = 0.0
+    for i in range(1, a.size):
+        spline += abs(float(a[i]) - float(a[i - 1])) / 2.0
+    for i in range(1, a.size - 1):
+        spline += schemes_1d._spline_edge_term(float(a[i - 1]), float(a[i]), float(a[i + 1]))
+    assert eval_spline(Spline1D(a)).hex() == spline.hex()
+
+
 def test_pc_box_wide_examples():
     assert eval_pc_box_wide(PiecewiseConstant1D([2.0, 2.0, 2.0])) == 0.0
     v = eval_pc_box_wide(PiecewiseConstant1D([0.0, 1.0, 1.0]))
