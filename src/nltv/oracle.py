@@ -11,9 +11,8 @@ Two methods are available:
   ``_panel_nodes``, applied to whole arrays of panels. For piecewise-constant
   inputs the integral reduces exactly (Fubini) to per-cell-pair geometric
   factors, in 2D in polar coordinates with one array pass per block of
-  angular panels;
-  for splines and callbacks a band |x - y| < delta is excluded and the value
-  extrapolated linearly in delta.
+  angular panels; for splines and callbacks the offset u = |x - y| runs from
+  0, and its first panel goes through a power substitution when 1 < p < 2.
 * ``mc``: stratified Monte Carlo through one sampler, ``_stratified_mc``,
   with one PCG64DXSM stream per task seeded from (seed, task id). A run of
   strata can jump to its own draws of that stream, so large budgets run on
@@ -65,9 +64,6 @@ _CHUNK = 1 << 15
 # over every theta panel was no faster for the disc kernel's weights at
 # scale 4 on 64^2, and raised their peak memory from 32 to 56 MB
 _PANEL_NODES = 1 << 15
-# half-width of the band |x - y| < delta that the Gauss curve evaluation
-# excludes before it extrapolates linearly in delta
-_EXCLUSION_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -282,10 +278,16 @@ def _norm_outside(kernel: Kernel):
 # geometric factors
 
 
-def _power_transformed(fn, b: float, p: float):
-    # maps the u^{1-p}-singular integral over [0, b] to a bounded one on [0, 1];
-    # overwrites v and returns the values in it, and fn may overwrite u
-    q = 2.0 - p
+def _singular_split(fn, edges: np.ndarray, p: float) -> list:
+    """(integrand, panel edges) pieces of the integral of ``fn`` over the
+    panels ``edges`` from 0, where fn may grow like u^(1-p): for 1 < p < 2
+    the first panel [0, b] goes through u = b v^(1/(2-p)), which maps it to
+    a bounded integrand on [0, 1], and the rest stay plain (no panel when b
+    is the end). The mapped integrand overwrites v and returns the values in
+    it, and fn may overwrite u."""
+    if not 1.0 < p < 2.0:
+        return [(fn, edges)]
+    b, q = edges[1], 2.0 - p
     work = per_thread(float)
 
     def wrapped(v):
@@ -301,7 +303,7 @@ def _power_transformed(fn, b: float, p: float):
         v *= vals
         return v
 
-    return wrapped
+    return [(wrapped, np.array([0.0, 1.0])), (fn, edges[1:])]
 
 
 def _kink_angles(knots_x, knots_y, kernel: Kernel) -> np.ndarray:
@@ -417,12 +419,8 @@ def _factor(offset: tuple, grid_n: int, kind: KernelKind, kernel_n: int, method:
                                           for lo, hi in bounds], nsamples, key)
     lo, hi = bounds[0]
     edges = np.array(sorted({x for x in (lo, offset[0] * h, hi) if lo <= x <= hi}))
-    pieces = [(integrand, edges)]
-    if touching and p > 1.0:
-        # u^(1-p) at the origin: the first panel [0, e1] via the power
-        # substitution, the rest plainly (no panel when e1 is the end)
-        pieces = [(_power_transformed(integrand, edges[1], p), np.array([0.0, 1.0])),
-                  (integrand, edges[1:])]
+    # a touching pair's integrand grows like u^(1-p) at the origin
+    pieces = _singular_split(integrand, edges, p) if touching else [(integrand, edges)]
     if method == GAUSS:
         val = sum(_gauss_on_panels(fn, e, g) for fn, e in pieces)
         val_f = sum(_gauss_on_panels(fn, _refine(e), g) for fn, e in pieces)
@@ -511,10 +509,10 @@ def _curve_breaks(knots: np.ndarray, shift: float, lo: float, hi: float) -> np.n
 
 
 def _x_integral(func, u: float, knots: np.ndarray, p: float, g: int,
-                split_roots: bool) -> float:
+                split_roots: bool, halve: bool) -> float:
     """Integral over x in (u, 1) of |f(x) - f(x-u)|^p, with x panels at every
     knot of f and of its shift; panels are split at sign changes of the
-    difference (exact for piecewise-linear f)."""
+    difference (exact for piecewise-linear f), and then halved if ``halve``."""
     edges = _curve_breaks(knots, u, u, 1.0)
     if split_roots:
         diff = func(edges) - func(edges - u)
@@ -527,28 +525,28 @@ def _x_integral(func, u: float, knots: np.ndarray, p: float, g: int,
     def integrand(x):
         return np.abs(func(x) - func(x - u)) ** p
 
-    return _gauss_on_panels(integrand, edges, g)
+    return _gauss_on_panels(integrand, _refine(edges) if halve else edges, g)
 
 
 def _curve_gauss_1d(func, knots: np.ndarray, kernel: Kernel, cfg: OracleConfig,
                     split_roots: bool) -> EvalReport:
-    r = kernel.support_radius
-    height = kernel.height
-    g = cfg.points_per_cell_axis
+    """Gauss rule over the offset u in (0, min(r, 1)) of 2 height F(u) / u^p,
+    F the x integral: the value refines the u panels twice and halves the x
+    panels, and ``richardson_delta`` is its distance to the rule that
+    refines the u panels once and leaves the x panels as they are."""
+    g, p = cfg.points_per_cell_axis, cfg.p
+    edges = _curve_breaks(knots, 0.0, 0.0, min(kernel.support_radius, 1.0))
 
-    def band_value(delta: float) -> float:
-        us, ws = _panel_nodes(_refine(_refine(_curve_breaks(knots, 0.0, delta, r))), g)
-        total = 0.0
-        for u, w in zip(us.ravel(), ws.ravel()):
-            total += w * _x_integral(func, float(u), knots, cfg.p, g,
-                                     split_roots) / float(u) ** cfg.p
-        return 2.0 * height * total
+    def value(u_edges: np.ndarray, halve_x: bool) -> float:
+        def integrand(us):
+            return np.array([_x_integral(func, u, knots, p, g, split_roots, halve_x) / u ** p
+                             for u in us.tolist()])
 
-    delta = _EXCLUSION_BAND
-    near = band_value(delta)
-    far = band_value(2.0 * delta)
-    value = 2.0 * near - far
-    return EvalReport(max(value, 0.0), 0.0, abs(near - far))
+        pieces = _singular_split(integrand, u_edges, p)
+        return 2.0 * kernel.height * sum(_gauss_on_panels(fn, e, g) for fn, e in pieces)
+
+    fine = value(_refine(_refine(edges)), True)
+    return EvalReport(fine, 0.0, abs(fine - value(_refine(edges), False)))
 
 
 def _curve_mc(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:

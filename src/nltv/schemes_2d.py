@@ -85,12 +85,18 @@ def eval_image(f: Image2D, kind: KernelKind) -> float:
     Pairs outside the grid contribute nothing; there is no wrap-around or
     reflection at the boundary. The sums are numpy's, pairwise per term and
     grouped by weight: through ``Stencil.value`` the bits of 1,779 of 3,000
-    random images moved, so this scheme does not go through the stencil.
+    random images moved, so this scheme does not go through the stencil. A
+    value beyond the float range raises ``ValueError``.
     """
     w = stencil_weights(kind, f.n)
     a = f.coeffs
-    lateral = float(np.abs(a[:, 1:] - a[:, :-1]).sum()
-                    + np.abs(a[1:, :] - a[:-1, :]).sum())
-    diagonal = float(np.abs(a[1:, 1:] - a[:-1, :-1]).sum()
-                     + np.abs(a[:-1, 1:] - a[1:, :-1]).sum())
-    return w.lateral * lateral + w.diagonal * diagonal
+    # an overflow leaves inf, refused below
+    with np.errstate(all="ignore"):
+        lateral = float(np.abs(a[:, 1:] - a[:, :-1]).sum()
+                        + np.abs(a[1:, :] - a[:-1, :]).sum())
+        diagonal = float(np.abs(a[1:, 1:] - a[:-1, :-1]).sum()
+                         + np.abs(a[:-1, 1:] - a[1:, :-1]).sum())
+    value = w.lateral * lateral + w.diagonal * diagonal
+    if not math.isfinite(value):
+        raise ValueError("the value of the closed form is beyond the float range")
+    return value

@@ -130,6 +130,13 @@ def test_verify_mc_output_is_pinned(family, capsys):
 
 
 def _mc_case(name):
+    if name.startswith("gauss"):
+        # a spline with n = 8 (x roots split at p = 1 and 2), and a callable
+        # with a jump, whose first u panel takes the power substitution
+        p = float(name.rsplit("-p", 1)[1])
+        f = (Spline1D(np.random.default_rng(9).uniform(0.0, 1.0, 9)) if "spline" in name
+             else lambda x: np.sin(3 * x) + (x > 0.5))
+        return f, Kernel(KernelKind.BOX1D, 8), OracleConfig(method="gauss", p=p)
     if name == "spline":
         nodes = np.random.default_rng(9).uniform(0.0, 1.0, 17)
         return (Spline1D(nodes), Kernel(KernelKind.BOX1D, 16),
@@ -143,21 +150,28 @@ def _mc_case(name):
     raise KeyError(name)
 
 
-# float.hex() of the oracle's value and stderr_estimate; the 2D callables were
-# re-recorded when their sampler took 16 strata over u1 (square +0.9, disc
-# -1.1 combined standard errors from the one-box values), and all three when
-# the streams went to PCG64DXSM (spline +0.58, square -1.56, disc -0.62)
+# float.hex() of the oracle's value and stderr_estimate (Monte Carlo) or
+# richardson_delta (the gauss curves, which integrate u from 0); the 2D
+# callables were re-recorded when their sampler took 16 strata over u1 (square
+# +0.9, disc -1.1 combined standard errors from the one-box values), and all
+# three when the streams went to PCG64DXSM (spline +0.58, square -1.56, disc
+# -0.62)
 MC_GOLDEN = {
     "spline": ("0x1.0e1e3ea658a0fp+2", "0x1.c854f1e5b6984p-8"),
     "callable-2d-square": ("0x1.30c070d42d510p+0", "0x1.0b97636a720b0p-8"),
     "callable-2d-disc": ("0x1.3b81ef551682fp-1", "0x1.05e36e7b8b4cbp-9"),
+    "gauss-spline-p1": ("0x1.c25147bcf152fp+0", "0x1.4000000000000p-50"),
+    "gauss-spline-p1.5": ("0x1.a6c918639003ap+1", "0x1.5a8d92c188000p-14"),
+    "gauss-spline-p2": ("0x1.bde6204777c64p+2", "0x1.8000000000000p-47"),
+    "gauss-callable-p1.5": ("0x1.05c90b593cfe0p+3", "0x1.21b9944000000p-23"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MC_GOLDEN))
 def test_mc_oracle_report_is_pinned(name):
     report = oracle_eval(*_mc_case(name))
-    assert (report.value.hex(), report.stderr_estimate.hex()) == MC_GOLDEN[name]
+    channel = report.richardson_delta if name.startswith("gauss") else report.stderr_estimate
+    assert (report.value.hex(), channel.hex()) == MC_GOLDEN[name]
 
 
 # float.hex() of (value, error) of geometric factors. Monte Carlo: the 1D

@@ -460,6 +460,22 @@ def test_eval_haar_overflow_is_a_usage_error(capsys, k, scale):
         "usage error: the scale or value of HaarIndex(")
 
 
+@pytest.mark.parametrize("family, values", [
+    ("pc", "1.7e308,-1.7e308"), ("pc-wide", "1.7e308,-1.7e308"),
+    ("spline", "1.7e308,-1.7e308,1"), ("spline", "0,1e200,0")],
+    ids=["pc", "pc-wide", "spline-difference", "spline-square"])
+def test_eval_closed_form_overflow_is_a_usage_error(tmp_path, capsys, family, values):
+    # a difference, or the spline's edge-term square, overflows; a numpy
+    # warning would fail this test, as RuntimeWarnings are errors here
+    sig = tmp_path / "s.csv"
+    sig.write_text(values.replace(",", "\n") + "\n")
+    assert main(["eval", "--family", family, "--input", str(sig)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: the value of the closed form is beyond "
+                            "the float range\n")
+
+
 def test_eval_haar_near_the_float_limit_is_finite(capsys):
     # at n = 2^k the value grows as 2^(1.5 k), past the float range from k = 683
     assert main(["eval", "--family", "haar", "--k", "682", "--j", "1",

@@ -69,6 +69,9 @@ def test_eval_image_examples():
         eval_image(Image2D([[1.0]]), KernelKind.DISC2D)
     with pytest.raises(ValueError):
         Image2D(np.zeros((2, 3)))
+    # a difference that overflows is refused, and no numpy warning leaks
+    with pytest.raises(ValueError, match="beyond the float range"):
+        eval_image(Image2D([[1.7e308, -1.7e308], [0.0, 0.0]]), KernelKind.SQUARE2D)
 
 
 @pytest.mark.parametrize("kind", [KernelKind.DISC2D, KernelKind.SQUARE2D])
