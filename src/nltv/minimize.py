@@ -33,7 +33,7 @@ from .kernels import Kernel, KernelKind, kpn
 from .oracle import GAUSS, OracleConfig, oracle_terms
 from .schemes_1d import BOX2_TERMS, BOX_TERMS
 from .schemes_2d import stencil_weights
-from .stencil import Stencil
+from .stencil import Stencil, blocked_dot
 
 SCHEME_CLOSED_1D = "closed_form_1d"
 SCHEME_CLOSED_2D = "closed_form_2d"
@@ -340,13 +340,13 @@ def _pdhg(d, stencil: Stencil, p, solver, tracker, total_energy):
         q += z
         take_prox()
         if p == 1:
-            dual_obj = 0.5 * float(x @ x)
+            dual_obj = 0.5 * blocked_dot(x, x)
             if dual_obj > dual_last:
                 # momentum overshot: restart from the last point
                 t_next = 1.0
                 np.copyto(q, z)
                 take_prox()
-                dual_obj = 0.5 * float(x @ x)
+                dual_obj = 0.5 * blocked_dot(x, x)
             t_acc, dual_last = t_next, dual_obj
         # z = q + g / L into the buffer of z_prev; the product with 1/L
         # costs half the quotient and equals it when L is a power of two
@@ -355,7 +355,7 @@ def _pdhg(d, stencil: Stencil, p, solver, tracker, total_energy):
         z, z_prev = z_prev, z
         if tracker.step(x, total_energy(x, g)) and p == 1:
             return it, True
-        if p != 1 and float(np.square(g - q * half_inv_w) @ wn) <= gap_stop:
+        if p != 1 and blocked_dot(np.square(g - q * half_inv_w), wn) <= gap_stop:
             tracker.best = x  # the certified iterate
             return it, True
     return solver.max_iter, False

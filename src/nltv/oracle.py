@@ -13,17 +13,17 @@ Two methods are available:
   factors, in 2D in polar coordinates with one array pass per block of
   angular panels; for splines and callbacks the offset u = |x - y| runs from
   0, and its first panel goes through a power substitution when 1 < p < 2.
-* ``mc``: stratified Monte Carlo through one sampler, ``_stratified_mc``,
-  with one PCG64DXSM stream per task seeded from (seed, task id). A run of
-  strata can jump to its own draws of that stream, so large budgets run on
-  up to one thread per available CPU and the results are the same bit for
-  bit whatever the thread count. Large budgets cut the strata of the first
-  axis into pieces of at most 32,768 points, so an integrand gets one
-  stratum of at most 32,768 points per call and must act element-wise, and
-  each thread holds arrays of that size only: draws made once per task,
-  scratch once per thread and evaluation by ``schemes_1d.per_thread``.
-  ``_curve_mc`` gives 1D and 2D curves 16 strata over the offset u and at
-  least 16,000 samples, so a 2D callable threads from 262,144 samples on.
+* ``mc``: a randomly shifted rank-1 lattice rule through one sampler,
+  ``_lattice_mc``. A task sums one lattice of N points, N a power of two with
+  16 N at most its budget, over 16 random shifts drawn from one PCG64DXSM
+  stream seeded from (seed, task id); the spread of the 16 shift means gives
+  the standard error. Each shift is summed by one thread in chunks of at
+  most 32,768 points, so shifts of 32,768 points or more run on up to one
+  thread per available CPU and the results are the same bit for bit
+  whatever the thread count. An integrand gets one chunk per call and must
+  act element-wise, and each thread holds arrays of that size only: points
+  made once per thread, scratch by ``schemes_1d.per_thread``.
+  ``_curve_mc`` samples 1D and 2D curves over the offset u and the point x.
 
 Geometric factors depend only on the relative cell offset. Both dimensions
 share one cached pair factor, ``_factor``, keyed by the canonical offset
@@ -49,17 +49,20 @@ GAUSS = "gauss"
 MONTE_CARLO = "mc"
 
 _MIN_MC_SAMPLES = 10_000
-_STRATA = 16
-# raw draws per stratum from which the boxes are spread over threads: on a
-# 2-CPU host with PCG64DXSM draws, two threads took 1.05-1.29 times as long
-# as one at 32,768 draws for the 2D pair factor and the spline curve (the 1D
-# factor 0.90-0.98) and 1.33-1.65 times at 16,384, but 0.83-0.96 times at
-# 65,536 (the 1D factor 0.89-1.09)
-_THREAD_DRAWS = 1 << 16
-# most points per axis in a stratum, and so per integrand call, a measured
-# trade-off when it was the chunk of a longer stratum: the spline verify at
-# 2e7 samples was slower at 16,384 and took more memory at 65,536
+# random shifts of the lattice rule, whose spread gives the standard error
+_SHIFTS = 16
+# points per shift from which the shifts are spread over threads: on a 2-CPU
+# host two threads took 0.72-1.82 times as long as one at 8,192 points and
+# 0.75-1.22 times at 16,384, but 0.55-1.02 times at 32,768, over the 1D and 2D
+# pair factors, the spline curve and a 2D callable
+_THREAD_POINTS = 1 << 15
+# most points per integrand call, a power of two so that it divides every
+# larger lattice: the spline verify at 2e7 samples was slower at 16,384 and
+# took more memory at 65,536
 _CHUNK = 1 << 15
+# lattice coordinates and shifts are integers in units of 2^-53: the shifted
+# point is then exact, and so is its float
+_UNIT = 1 << 53
 # most radial nodes of one array pass of the 2D Gauss pair factor: one pass
 # over every theta panel was no faster for the disc kernel's weights at
 # scale 4 on 64^2, and raised their peak memory from 32 to 56 MB
@@ -71,8 +74,10 @@ class OracleConfig:
     """Evaluation policy for the oracle.
 
     ``samples`` is the total Monte Carlo budget for one evaluation, split
-    evenly over the active integration tasks. ``points_per_cell_axis`` is the
-    Gauss-Legendre order used on every quadrature panel.
+    evenly over the active integration tasks; it bounds the points used,
+    and a task uses between half and all of its share (16 shifts of a
+    power-of-two lattice). ``points_per_cell_axis`` is the Gauss-Legendre
+    order used on every quadrature panel.
     """
 
     method: str = MONTE_CARLO
@@ -107,18 +112,16 @@ class EvalReport:
     richardson_delta: float
 
     def __post_init__(self):
-        if self.value < 0 or not math.isfinite(self.stderr_estimate):
-            raise ValueError("malformed report")
+        if not (0.0 <= self.value < math.inf and math.isfinite(self.stderr_estimate)
+                and math.isfinite(self.richardson_delta)):
+            raise ValueError("malformed report: the value must be finite and "
+                             "non-negative, and both error channels finite")
 
 
-def _stream(seed: int, task: int, start: int = 0) -> np.random.Generator:
-    """The stream of (seed, task), positioned at its raw draw ``start``: a
-    PCG64DXSM generator seeded from ``SeedSequence([seed, task])``, which
-    jumps ahead by any number of raw draws; one uniform double takes one raw
-    draw."""
-    bits = np.random.PCG64DXSM(np.random.SeedSequence([seed, task]))
-    bits.advance(start)
-    return np.random.Generator(bits)
+def _stream(seed: int, task: int) -> np.random.Generator:
+    """The stream of (seed, task): a PCG64DXSM generator seeded from
+    ``SeedSequence([seed, task])``."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([seed, task])))
 
 
 @lru_cache(maxsize=None)
@@ -152,95 +155,65 @@ def _refine(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _threads(boxes: int, draws: int) -> int:
-    """Threads for ``boxes`` boxes cut from strata of ``draws`` raw draws
-    each: one below ``_THREAD_DRAWS`` draws per stratum, else one per
-    available CPU, up to one per box."""
-    if draws < _THREAD_DRAWS:
-        return 1
+def _lattice_mc(fn, box, nsamples: int, rng: np.random.Generator):
+    """Randomly shifted rank-1 lattice rule (Cranley and Patterson) for a
+    vectorized integrand of len(box) variables over the box ``box``, one
+    (lo, hi) per axis.
+
+    The lattice has N points, N the largest power of two with
+    ``_SHIFTS`` N <= ``nsamples`` (at least 1), and the golden Korobov
+    generating vector z_j = a^j mod N, a the odd integer nearest N / phi: in
+    1D the shifted midpoint rule, in 2D a Fibonacci-like lattice. Each of
+    the ``_SHIFTS`` shifts takes one vector of uniform shifts D from ``rng``,
+    53-bit integers in units of 2^-53, and point k on axis j is
+    lo + frac((k z_j mod N) / N + D_j) (hi - lo), the fraction exact. The
+    estimate is the volume times the mean over shifts of the shift's mean
+    value, and its standard error that of the shift means.
+
+    Each shift is summed by one thread, in chunks of at most ``_CHUNK``
+    points in order; ``fn`` is called once per chunk on one array per axis,
+    reused by its thread for every chunk, and it may overwrite them. Shifts
+    of at least ``_THREAD_POINTS`` points run on up to one thread per
+    available CPU, so ``fn`` may be called from several threads at once;
+    smaller ones run on one. The shift sums are combined in shift order, so
+    the thread count does not change the result. Returns the estimate and
+    its standard error.
+    """
+    n = 1 << max(0, (nsamples // _SHIFTS).bit_length() - 1)
+    a = 2 * round((n * (math.sqrt(5.0) - 1.0) / 2.0 - 1.0) / 2.0) + 1  # nearest N / phi
+    # z_j scaled to units of 2^-53; N divides 2^53, and int64 products wrap
+    # modulo 2^64, which keeps every bit below 2^53
+    gens = [pow(a, j, n) * (_UNIT // n) for j in range(len(box))]
+    shifts = rng.integers(_UNIT, size=(_SHIFTS, len(box))).tolist()
+    size = min(n, _CHUNK)
+    steps = np.arange(size, dtype=np.int64)
+    work = per_thread(np.int64, *[float] * len(box))
+
+    def shift_sum(shift):
+        frac, *xs = work(size)
+        total = 0.0
+        for k0 in range(0, n, size):
+            for x, z, d, (lo, hi) in zip(xs, gens, shift, box):
+                np.multiply(steps, z, out=frac)
+                frac += (k0 * z + d) % _UNIT
+                frac &= _UNIT - 1
+                np.multiply(frac, (hi - lo) / _UNIT, out=x)
+                x += lo
+            total += float(fn(*xs).sum())
+        return total
+
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return min(cpus, boxes)
-
-
-def _moments(vals: np.ndarray):
-    """vals.mean() and vals.std(ddof=1) bit for bit, in place: overwrites vals."""
-    mean = float(vals.mean())
-    vals -= mean
-    vals *= vals
-    return mean, math.sqrt(vals.sum() / (vals.size - 1))
-
-
-def _strata(axes, nsamples: int):
-    """The strata of ``nsamples`` points over the product grid of ``axes``
-    once each interval of the first axis is cut evenly into the fewest
-    pieces that hold at most ``_CHUNK`` points: returns the cut axes, the
-    number of boxes, the points per box and a stratum's raw draws uncut."""
-    # at least two points a box, for its standard deviation
-    per = max(2, nsamples // math.prod(len(e) - 1 for e in axes))
-    cut = -(-per // _CHUNK)
-    e = np.asarray(axes[0], dtype=float)
-    e = np.append(np.linspace(e[:-1], e[1:], cut, endpoint=False, axis=1), e[-1])
-    boxes = cut * math.prod(len(a) - 1 for a in axes)
-    return [e, *axes[1:]], boxes, max(2, nsamples // boxes), len(axes) * per
-
-
-def _stratified_mc(fn, axes, nsamples: int, key: tuple, start: int = 0):
-    """Stratified uniform MC of a vectorized integrand of len(axes) variables.
-
-    ``axes`` holds one edge list per axis; the strata are the boxes of
-    ``_strata``, so each holds at most ``_CHUNK`` points. In box order, first
-    axis outermost, each box takes its share of the budget once per axis, in
-    axis order, from the stream of ``key`` = (seed, task) starting at raw
-    draw ``start``. ``fn`` is called once per box on one draw array per
-    axis, reused by its thread for every box; it may overwrite them, and the
-    moments overwrite its values.
-
-    The boxes are cut into one contiguous run per thread, and each run
-    starts its own copy of the stream at its first draw. Budgets of at least
-    ``_THREAD_DRAWS`` raw draws per stratum before the cut run on up to one
-    thread per available CPU, so ``fn`` may be called from several threads
-    at once; smaller ones run on one. The box moments are added in box
-    order, so the thread count does not change the result. Returns the
-    estimate and its standard error.
-    """
-    axes, boxes, per, stratum_draws = _strata(axes, nsamples)
-    shape = [len(a) - 1 for a in axes]
-    draws = len(axes) * per
-
-    def bounds(b):
-        # box b's (lo, hi) on each axis, derived from b: no list of boxes
-        return [(a[i], a[i + 1]) for a, i in zip(axes, np.unravel_index(b, shape))]
-
-    moments = np.empty((boxes, 2))  # each box's mean and std
-
-    def run(first, last):
-        bufs = [np.empty(per) for _ in axes]
-        rng = _stream(*key, start + first * draws)
-        for b in range(first, last):
-            # the draws and arithmetic of rng.uniform(lo, hi, per)
-            for buf, (lo, hi) in zip(bufs, bounds(b)):
-                rng.random(out=buf)
-                buf *= hi - lo
-                buf += lo
-            moments[b] = _moments(fn(*bufs))
-
-    threads = _threads(boxes, stratum_draws)
-    if threads == 1:
-        run(0, boxes)
+    if n < _THREAD_POINTS or cpus == 1:
+        sums = [shift_sum(shift) for shift in shifts]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        cuts = [boxes * k // threads for k in range(threads + 1)]
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(run, cuts[:-1], cuts[1:]))  # re-raises a run's error
-    total = 0.0
-    var = 0.0
-    for b, (mean, std) in enumerate(moments.tolist()):
-        vol = math.prod(hi - lo for lo, hi in bounds(b))
-        total += vol * mean
-        var += (vol * std / math.sqrt(per)) ** 2
-    return float(total), math.sqrt(var)
+        with ThreadPoolExecutor(min(cpus, _SHIFTS)) as pool:
+            sums = list(pool.map(shift_sum, shifts))  # re-raises a shift's error
+    means = np.array(sums) / n
+    vol = float(math.prod(hi - lo for lo, hi in box))
+    return vol * float(means.mean()), vol * float(means.std(ddof=1)) / math.sqrt(_SHIFTS)
 
 
 def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
@@ -371,10 +344,9 @@ def _factor(offset: tuple, grid_n: int, kind: KernelKind, kernel_n: int, method:
     over the cell pair, both orientations included.
 
     Both dimensions share this one cached routine and one MC integrand over
-    the tent support box clipped to the kernel bounding box, in ``_STRATA``
-    boxes: 16 strata in 1D, 4 x 4 in 2D. Its stream is that of (seed, d) in
-    1D and of (seed, 1024 dx + dy) in 2D, the streams that every pinned
-    factor was recorded with.
+    the tent support box clipped to the kernel bounding box. Its stream is
+    that of (seed, d) in 1D and of (seed, 1024 dx + dy) in 2D, the streams
+    that every pinned factor was recorded with.
     """
     kernel = Kernel(kind, kernel_n)
     dim = len(offset)
@@ -415,8 +387,7 @@ def _factor(offset: tuple, grid_n: int, kind: KernelKind, kernel_n: int, method:
         if method == GAUSS:
             val, val_f = (_polar_factor(*offset, h, kernel, g, split, p) for split in (2, 3))
             return val_f, abs(val_f - val)
-        return _stratified_mc(integrand, [np.linspace(lo, hi, math.isqrt(_STRATA) + 1)
-                                          for lo, hi in bounds], nsamples, key)
+        return _lattice_mc(integrand, bounds, nsamples, _stream(*key))
     lo, hi = bounds[0]
     edges = np.array(sorted({x for x in (lo, offset[0] * h, hi) if lo <= x <= hi}))
     # a touching pair's integrand grows like u^(1-p) at the origin
@@ -425,15 +396,11 @@ def _factor(offset: tuple, grid_n: int, kind: KernelKind, kernel_n: int, method:
         val = sum(_gauss_on_panels(fn, e, g) for fn, e in pieces)
         val_f = sum(_gauss_on_panels(fn, _refine(e), g) for fn, e in pieces)
         return val_f, abs(val_f - val)
-    # each piece takes an equal share and draws from where the one before
-    # it ended; the plain piece is empty when e1 is the end
-    parts, start = [], 0
-    for fn, e in pieces:
-        if e.size > 1:
-            axes = [np.linspace(e[0], e[-1], _STRATA + 1)]
-            parts.append(_stratified_mc(fn, axes, nsamples // len(pieces), key, start))
-            _, boxes, per, _ = _strata(axes, nsamples // len(pieces))
-            start += boxes * per
+    # each piece takes an equal share, and the second draws its shifts after
+    # the first's from one stream; the plain piece is empty when e1 is the end
+    rng = _stream(*key)
+    parts = [_lattice_mc(fn, [(e[0], e[-1])], nsamples // len(pieces), rng)
+             for fn, e in pieces if e.size > 1]
     return sum(val for val, _ in parts), math.hypot(*(err for _, err in parts))
 
 
@@ -583,10 +550,8 @@ def _curve_mc(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
         vals[off] = 0.0
         return vals
 
-    axes = [np.linspace(-r, r, _STRATA + 1)] + [(-r, r)] * (dim - 1) + [(0, 1)] * dim
-    # at least 1,000 samples in each of the u strata
-    value, stderr = _stratified_mc(integrand, axes, max(_STRATA * 1000, cfg.samples),
-                                   (cfg.seed, 0))
+    box = [(-r, r)] * dim + [(0.0, 1.0)] * dim
+    value, stderr = _lattice_mc(integrand, box, cfg.samples, _stream(cfg.seed, 0))
     return EvalReport(value, stderr, 0.0)
 
 
@@ -607,11 +572,11 @@ def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     :class:`Image2D`, or a vectorized callable on Omega (one positional array
     argument in 1D, two in 2D). The kernel dimension must match the input.
 
-    With ``method="mc"`` the strata of large budgets run on up to one thread
+    With ``method="mc"`` the shifts of large budgets run on up to one thread
     per available CPU, and the report does not depend on the thread count.
-    A callable ``f`` gets one stratum of at most 32,768 points per call,
-    maybe on several threads at once: it must act element-wise and keep none
-    of its arrays.
+    A callable ``f`` gets one chunk of at most 32,768 points per call, maybe
+    on several threads at once: it must act element-wise and keep none of
+    its arrays.
     """
     if isinstance(f, (PiecewiseConstant1D, Image2D)):
         dim = f.coeffs.ndim

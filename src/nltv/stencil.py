@@ -28,6 +28,20 @@ import math
 
 import numpy as np
 
+# most elements of one BLAS dot: OpenBLAS runs longer dots on several threads,
+# and how it splits them, and so the rounding, follows the thread count
+_DOT_BLOCK = 8192
+
+
+def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` of 1D arrays as the left-to-right sum of the BLAS dots of
+    blocks of ``_DOT_BLOCK`` elements: the same bits for any thread count."""
+    total = 0.0
+    for i in range(0, a.size, _DOT_BLOCK):
+        total += float(a[i:i + _DOT_BLOCK] @ b[i:i + _DOT_BLOCK])
+    return total
+
+
 class Stencil:
     """A grid shape plus ordered ``(offset, weight)`` terms.
 
@@ -131,7 +145,7 @@ class Stencil:
         t = np.abs(self.gather(f) if diffs is None else diffs)
         if p != 1:
             t **= p
-        return float(t @ self._wn)
+        return blocked_dot(t, self._wn)
 
     @functools.cached_property
     def op_norm_sq(self) -> float:

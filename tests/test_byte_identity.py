@@ -7,10 +7,15 @@ floating-point summation; they were recorded with numpy 2.4 on x86-64.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nltv
 from nltv import (
     DataTerm,
     EnergyParams,
@@ -97,26 +102,25 @@ def test_denoise_minimizer_is_pinned(name):
     assert (res.iterations, digest) == GOLDEN[name]
 
 
-# re-recorded when the Monte Carlo streams went from Philox4x64 keyed by
-# (seed, task) to PCG64DXSM seeded by SeedSequence([seed, task]): the oracle
-# moved by -0.46 (image), -0.53 (pc-wide) and -0.30 (spline) combined
-# standard errors
+# re-recorded when the stratified sampler gave way to the randomly shifted
+# lattice rule: the oracle moved by -0.11 (image), -0.06 (pc-wide) and +0.07
+# (spline) combined standard errors, and now lies -0.29, -1.00 and +0.78 of
+# its own standard error off the closed form
 VERIFY_GOLDEN = {
     "image": ("closed-form 1.76867588873\n"
-              "oracle      1.76905267967\n"
-              "rel-error   2.130e-04 (tolerance 1.000e-02)\n"),
+              "oracle      1.76839944023\n"
+              "rel-error   1.563e-04 (tolerance 1.000e-02)\n"),
     "pc-wide": ("closed-form 3.13847729425\n"
-                "oracle      3.13824710698\n"
-                "rel-error   7.334e-05 (tolerance 1.000e-02)\n"),
+                "oracle      3.13819716798\n"
+                "rel-error   8.926e-05 (tolerance 1.000e-02)\n"),
     "spline": ("closed-form 7.03367238716\n"
-               "oracle      7.03376013028\n"
-               "rel-error   1.247e-05 (tolerance 1.000e-02)\n"),
+               "oracle      7.03408163314\n"
+               "rel-error   5.818e-05 (tolerance 1.000e-02)\n"),
 }
 
 
-# --n and --samples per family; the spline's 75,000 points per stratum are
-# cut into three boxes of 25,000 (re-recorded then: the oracle moved by -0.20
-# of its standard error, from +0.65 to +0.45 of it off the closed form)
+# --n and --samples per family; the spline's 1,200,000 samples give 16 shifts
+# of a 65,536-point lattice, each summed in two chunks of 32,768
 VERIFY_ARGS = {"image": ("6", "40000"), "pc-wide": ("12", "40000"),
                "spline": ("24", "1200000")}
 
@@ -151,15 +155,15 @@ def _mc_case(name):
 
 
 # float.hex() of the oracle's value and stderr_estimate (Monte Carlo) or
-# richardson_delta (the gauss curves, which integrate u from 0); the 2D
-# callables were re-recorded when their sampler took 16 strata over u1 (square
-# +0.9, disc -1.1 combined standard errors from the one-box values), and all
-# three when the streams went to PCG64DXSM (spline +0.58, square -1.56, disc
-# -0.62)
+# richardson_delta (the gauss curves, which integrate u from 0); the three
+# Monte Carlo pins were re-recorded when the stratified sampler gave way to
+# the randomly shifted lattice rule (spline -1.66, square +1.48, disc +1.66
+# combined standard errors; the disc value f = x lies -0.10 of its standard
+# error off the exact 0.6196752662381612, where it lay -1.73 before)
 MC_GOLDEN = {
-    "spline": ("0x1.0e1e3ea658a0fp+2", "0x1.c854f1e5b6984p-8"),
-    "callable-2d-square": ("0x1.30c070d42d510p+0", "0x1.0b97636a720b0p-8"),
-    "callable-2d-disc": ("0x1.3b81ef551682fp-1", "0x1.05e36e7b8b4cbp-9"),
+    "spline": ("0x1.0d48111cd9c1ap+2", "0x1.de8356b519322p-9"),
+    "callable-2d-square": ("0x1.325aa9d23b8bap+0", "0x1.1f5c6ce1f8934p-10"),
+    "callable-2d-disc": ("0x1.3d400742b6b52p-1", "0x1.e959ec02dd537p-12"),
     "gauss-spline-p1": ("0x1.c25147bcf152fp+0", "0x1.4000000000000p-50"),
     "gauss-spline-p1.5": ("0x1.a6c918639003ap+1", "0x1.5a8d92c188000p-14"),
     "gauss-spline-p2": ("0x1.bde6204777c64p+2", "0x1.8000000000000p-47"),
@@ -179,15 +183,16 @@ def test_mc_oracle_report_is_pinned(name):
 # distance 2, two 2D square-kernel offsets and a disc-kernel offset that the
 # disc cuts (the norm > r mask). Gauss: the 1D adjacent pair at p = 1.5 (the
 # power substitution and a second panel) and a 2D disc offset in polar
-# coordinates. The Monte Carlo pins were re-recorded when the streams went
-# to PCG64DXSM: 1d-singular +0.39, 1d-d2 +0.90, 2d-square-10 +1.29,
-# 2d-square-21 -2.20 and 2d-disc-21 +0.12 combined standard errors.
+# coordinates. The Monte Carlo pins were re-recorded when the stratified
+# sampler gave way to the randomly shifted lattice rule: 1d-singular +0.88,
+# 1d-d2 -1.51, 2d-square-10 -0.93, 2d-square-21 +1.72 and 2d-disc-21 -0.61
+# combined standard errors.
 FACTOR_GOLDEN = {
-    "1d-singular": ("0x1.a822f0598e16ep+1", "0x1.868433e95dd7ap-13"),
-    "1d-d2": ("0x1.5f789d4e6918dp-2", "0x1.9c1f8d1c93c73p-15"),
-    "2d-square-10": ("0x1.7c79a8f3ce4eap-6", "0x1.cf34e0ca1a017p-15"),
-    "2d-square-21": ("0x1.5fdf669007540p-8", "0x1.204203ff9b018p-17"),
-    "2d-disc-21": ("0x1.01771959dc793p-8", "0x1.d7053631f349bp-17"),
+    "1d-singular": ("0x1.a82969bbd6c96p+1", "0x1.08352100d3d07p-13"),
+    "1d-d2": ("0x1.5f63e3395b364p-2", "0x1.2a121bcb8c19ap-16"),
+    "2d-square-10": ("0x1.7ba2cfd883ce3p-6", "0x1.452f9ae8315d7p-19"),
+    "2d-square-21": ("0x1.60d827fbeb0bcp-8", "0x1.3f33ed3e33a93p-21"),
+    "2d-disc-21": ("0x1.00e45b5910f07p-8", "0x1.7342a6f50b763p-19"),
     "gauss-1d-singular": ("0x1.a827999fcef6ap+1", "0x1.be88000000000p-38"),
     "gauss-2d-disc-21": ("0x1.00e9084b9ae6dp-8", "0x1.0000000000000p-60"),
 }
@@ -208,3 +213,29 @@ def _factor(name):
 @pytest.mark.parametrize("name", sorted(FACTOR_GOLDEN))
 def test_mc_geometric_factor_is_pinned(name):
     assert tuple(float(v).hex() for v in _factor(name)) == FACTOR_GOLDEN[name]
+
+
+def test_denoise_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the 64^2 closed disc stencil has 16,129 pairs, and OpenBLAS runs a dot
+    # of more than 10,000 elements on several threads
+    n = 64
+    y, x = (np.mgrid[0:n, 0:n] + 0.5) / n
+    clean = 0.5 + 0.3 * np.sign(np.sin(7.0 * y) * np.sin(5.0 * x))
+    noisy = clean + np.random.default_rng(1).normal(0.0, 0.1, (n, n))
+    pixels = np.clip(np.rint(noisy * 255), 0, 255).astype(int)
+    image = tmp_path / "image.pgm"
+    image.write_text(f"P2\n{n} {n}\n255\n"
+                     + "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist()))
+    src = str(Path(nltv.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out, trace = tmp_path / f"out-{threads}.csv", tmp_path / f"trace-{threads}.csv"
+        subprocess.run([sys.executable, "-c", "import sys; from nltv.cli import main; "
+                        "sys.exit(main())", "denoise", "--input", str(image), "--alpha", "2e-3",
+                        "--out", str(out), "--trace", str(trace)],
+                       env=env, check=True, capture_output=True)
+        written.append((out.read_bytes(), trace.read_bytes()))
+    assert written[0] == written[1]

@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import threading
@@ -11,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nltv import (
+    EvalReport,
     Image2D,
     Kernel,
     KernelKind,
@@ -18,6 +18,7 @@ from nltv import (
     PiecewiseConstant1D,
     Spline1D,
     Stencil,
+    eval_image,
     eval_spline,
     fit_stencil,
     kernel_eval,
@@ -30,16 +31,14 @@ from nltv.oracle import (
     _gauss_on_panels,
     _gauss_rule,
     _kink_angles,
-    _moments,
+    _lattice_mc,
     _norm_outside,
     _pair_factor,
     _panel_nodes,
     _polar_factor,
     _refine,
-    _stratified_mc,
     _stream,
     _tent,
-    _threads,
     geometric_factor_2d,
     oracle_terms,
 )
@@ -110,8 +109,9 @@ def test_determinism(method):
 
 
 def test_mc_convergence_rate():
-    """Quadrupling the sample count halves the standard error within a
-    factor 1.5."""
+    """Quadrupling the sample count cuts the standard error by at least
+    2 / 1.5, plain Monte Carlo's halving within a factor 1.5; the lattice
+    rule is meant to beat it, so no upper bound."""
     rng = np.random.default_rng(4)
     good = 0
     for trial in range(10):
@@ -122,9 +122,50 @@ def test_mc_convergence_rate():
         e1 = oracle_eval(f, Kernel(KernelKind.BOX1D_WIDE, n), base).stderr_estimate
         e2 = oracle_eval(f, Kernel(KernelKind.BOX1D_WIDE, n), fine).stderr_estimate
         ratio = e1 / e2
-        if 2.0 / 1.5 <= ratio <= 2.0 * 1.5:
+        if ratio >= 2.0 / 1.5:
             good += 1
     assert good >= 8
+
+
+def _accuracy_case(case, seed):
+    # (input, kernel, exact value, bound on the relative standard error)
+    rng = np.random.default_rng(seed)
+    if case == "spline-128":
+        f = Spline1D(rng.uniform(0.0, 1.0, 129))
+        return f, Kernel(KernelKind.BOX1D, 128), eval_spline(f), 1e-4
+    if case == "image-16":
+        f = Image2D(rng.uniform(0.0, 1.0, (16, 16)))
+        return f, Kernel(KernelKind.DISC2D, 16), eval_image(f, KernelKind.DISC2D), 1e-4
+    # f = x under the disc kernel of scale n: R = (2 - (pi + 2)/(3n) + 1/(3n^2)) / pi
+    n = 32
+    exact = (2.0 - (math.pi + 2.0) / (3 * n) + 1.0 / (3 * n * n)) / math.pi
+    return (lambda x, y: x), Kernel(KernelKind.DISC2D, n), exact, 2e-4
+
+
+@pytest.mark.parametrize("case", ["spline-128", "image-16", "x-disc-32"])
+def test_mc_accuracy_at_two_million_samples(case):
+    # the lattice rule's standard error at 2e6 samples, and its error within
+    # 4 of it, on seeds 1-3
+    for seed in (1, 2, 3):
+        f, kernel, exact, bound = _accuracy_case(case, seed)
+        report = oracle_eval(f, kernel,
+                             OracleConfig(method="mc", samples=2_000_000, seed=seed))
+        assert report.stderr_estimate <= bound * exact
+        assert abs(report.value - exact) <= 4.0 * report.stderr_estimate
+
+
+@pytest.mark.parametrize("method", ["gauss", "mc"])
+def test_reports_refuse_non_finite_values(method):
+    # the cell differences overflow to inf, and the spline's to inf and nan
+    cfg = OracleConfig(method=method, seed=1)
+    for f in (PiecewiseConstant1D([1.7e308, -1.7e308]), Spline1D([1.7e308, -1.7e308, 1.0])):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="malformed report"):
+            oracle_eval(f, Kernel(KernelKind.BOX1D, 2), cfg)
+    for fields in [(math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0), (-1.0, 0.0, 0.0),
+                   (1.0, math.nan, 0.0), (1.0, 0.0, math.inf)]:
+        with pytest.raises(ValueError, match="malformed report"):
+            EvalReport(*fields)
+    assert EvalReport(0.0, 0.0, 0.0).value == 0.0
 
 
 def test_gauss_mc_cross_agreement_on_singularity_free_pairs():
@@ -366,88 +407,8 @@ def test_fit_stencil_recovers_closed_forms():
         fit_stencil(KernelKind.BOX1D, 4, cfg)
 
 
-# The Monte Carlo loops that _stratified_mc replaced, kept as references: the
-# 1D sampler and the 4x4 loop of the pair factors and the one-box
-# estimator that 2D callables had before they were stratified over u.
-
-
-def _old_mc_1d(fn, a, b, nsamples, rng, nstrata):
-    edges = np.linspace(a, b, nstrata + 1)
-    per = max(2, nsamples // nstrata)
-    total = 0.0
-    var = 0.0
-    for s in range(nstrata):
-        width = edges[s + 1] - edges[s]
-        u = rng.uniform(edges[s], edges[s + 1], per)
-        vals = fn(u)
-        total += width * float(vals.mean())
-        var += (width * float(vals.std(ddof=1)) / math.sqrt(per)) ** 2
-    return total, math.sqrt(var)
-
-
-def _old_mc_4x4(fn, xlo, xhi, ylo, yhi, nsamples, rng):
-    per_stratum = max(2, nsamples // 16)
-    xs = np.linspace(xlo, xhi, 5)
-    ys = np.linspace(ylo, yhi, 5)
-    total = 0.0
-    var = 0.0
-    for i in range(4):
-        for j in range(4):
-            ux = rng.uniform(xs[i], xs[i + 1], per_stratum)
-            uy = rng.uniform(ys[j], ys[j + 1], per_stratum)
-            vals = fn(ux, uy)
-            cell_area = (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
-            total += cell_area * float(vals.mean())
-            var += (cell_area * float(vals.std(ddof=1)) / math.sqrt(per_stratum)) ** 2
-    return total, math.sqrt(var)
-
-
-def _old_mc_one_box(fn, r, nsamples, rng):
-    x1 = rng.uniform(0.0, 1.0, nsamples)
-    x2 = rng.uniform(0.0, 1.0, nsamples)
-    u1 = rng.uniform(-r, r, nsamples)
-    u2 = rng.uniform(-r, r, nsamples)
-    vals = fn(x1, x2, u1, u2)
-    measure = (2.0 * r) ** 2
-    return (measure * float(vals.mean()),
-            measure * float(vals.std(ddof=1)) / math.sqrt(nsamples))
-
-
 def _hex_pair(result):
     return tuple(float(v).hex() for v in result)
-
-
-@settings(max_examples=200, deadline=None)
-@given(lo=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
-       width=st.lists(st.floats(1e-9, 2.0), min_size=2, max_size=2),
-       nsamples=st.integers(2, 3000), seed=st.integers(0, 2 ** 64 - 1),
-       task=st.integers(0, 2 ** 20), scale=st.integers(1, 2946))
-def test_stratified_mc_equals_the_loops_it_replaced(lo, width, nsamples, seed, task,
-                                                   scale):
-    (a, c), (wa, wc) = lo, width
-    b, d = a + wa, c + wc
-
-    def f1(u):
-        return np.exp(u) * np.cos(3.0 * u)
-
-    def f2(ux, uy):
-        return np.sin(ux) * uy + ux * ux
-
-    def f4(x1, x2, u1, u2):
-        return np.cos(x1 - u2) + x2 * u1
-
-    key = (seed, task)
-    assert (_hex_pair(_stratified_mc(f1, [np.linspace(a, b, 17)], nsamples, key))
-            == _hex_pair(_old_mc_1d(f1, a, b, nsamples, _stream(*key), 16)))
-    assert (_hex_pair(_stratified_mc(f2, [np.linspace(a, b, 5), np.linspace(c, d, 5)],
-                                     nsamples, key))
-            == _hex_pair(_old_mc_4x4(f2, a, b, c, d, nsamples, _stream(*key))))
-    # the one box has volume (2r)*(2r) where the old estimator had (2r)**2;
-    # they first differ in the last bit at scale 2947
-    r = 1.0 / scale
-    axes = [(0, 1), (0, 1), (-r, r), (-r, r)]
-    assert (_hex_pair(_stratified_mc(f4, axes, nsamples, key))
-            == _hex_pair(_old_mc_one_box(f4, r, nsamples, _stream(*key))))
 
 
 # The one-point-at-a-time Gauss code that the array-at-a-time panel rule
@@ -710,35 +671,36 @@ def test_an_offset_is_in_reach_exactly_when_its_factor_is_positive(case):
     assert in_reach(kernel, grid, offset) == (factor > 0.0)
 
 
-# The sequential sampler that the threaded _stratified_mc replaced, with the
-# out-of-place integrands of the singular 1D factor, the curve sampler and the
-# 2D callable sampler, kept as references: every box drew from one live
-# stream in box order. It samples the axes as _stratified_mc cuts them, which
-# leaves them as they are at up to oracle._CHUNK points per box.
+# The lattice rule written out as a sequential loop over shifts and chunks,
+# with the out-of-place integrands of the singular 1D factor, the curve
+# sampler and the 2D callable sampler, kept as references.
 
 
-def _cut(axes, nsamples):
-    # each interval of the first axis cut evenly into the fewest pieces of at
-    # most oracle._CHUNK points
-    per = max(2, nsamples // math.prod(len(e) - 1 for e in axes))
-    pieces = -(-per // oracle._CHUNK)
-    first = [v for lo, hi in zip(axes[0][:-1], axes[0][1:])
-             for v in np.linspace(lo, hi, pieces, endpoint=False)]
-    return [np.array([*first, axes[0][-1]], dtype=float), *axes[1:]]
-
-
-def _sequential_mc(fn, axes, nsamples, rng):
-    axes = _cut(axes, nsamples)
-    boxes = list(itertools.product(*(zip(e[:-1], e[1:]) for e in axes)))
-    per = max(2, nsamples // len(boxes))
-    total = 0.0
-    var = 0.0
-    for box in boxes:
-        vol = math.prod(hi - lo for lo, hi in box)
-        vals = fn(*(rng.uniform(lo, hi, per) for lo, hi in box))
-        total += vol * float(vals.mean())
-        var += (vol * float(vals.std(ddof=1)) / math.sqrt(per)) ** 2
-    return total, math.sqrt(var)
+def _sequential_lattice(fn, axes, nsamples, rng):
+    # N the largest power of two with 16 N <= nsamples, a the odd integer
+    # nearest N / phi, z_j = a^j mod N, and 16 shifts of 53-bit integers;
+    # point k on axis j is lo + frac((k z_j mod N) / N + D_j) (hi - lo), the
+    # fraction taken exactly in units of 2^-53
+    n = 1
+    while 32 * n <= nsamples:
+        n *= 2
+    a = min(range(1, n + 2, 2), key=lambda c: abs(c - 2.0 * n / (1.0 + math.sqrt(5.0))))
+    shifts = rng.integers(2 ** 53, size=(16, len(axes))).tolist()
+    chunk = min(n, oracle._CHUNK)
+    sums = []
+    for shift in shifts:
+        total = 0.0
+        for k0 in range(0, n, chunk):
+            k = np.arange(k0, k0 + chunk)
+            points = []
+            for j, ((lo, hi), d) in enumerate(zip(axes, shift)):
+                frac = (k * (a ** j % n) % n * (2 ** 53 // n) + d) % 2 ** 53
+                points.append(lo + frac / 2 ** 53 * (hi - lo))
+            total += float(fn(*points).sum())
+        sums.append(total)
+    means = np.array(sums) / n
+    vol = math.prod(hi - lo for lo, hi in axes)
+    return vol * float(means.mean()), vol * float(means.std(ddof=1)) / 4.0
 
 
 def _old_singular_factor_1d(grid_m, kernel, nsamples, seed, p):
@@ -757,11 +719,10 @@ def _old_singular_factor_1d(grid_m, kernel, nsamples, seed, p):
         return integrand(u) * (split / q) * v ** (1.0 / q - 1.0)
 
     rng = _stream(seed, 1)
-    v1, e1 = _sequential_mc(first, [np.linspace(0.0, 1.0, 17)], nsamples // 2, rng)
+    v1, e1 = _sequential_lattice(first, [(0.0, 1.0)], nsamples // 2, rng)
     v2, e2 = (0.0, 0.0)
     if split < hi:
-        v2, e2 = _sequential_mc(integrand, [np.linspace(split, hi, 17)],
-                                nsamples // 2, rng)
+        v2, e2 = _sequential_lattice(integrand, [(split, hi)], nsamples // 2, rng)
     return v1 + v2, math.hypot(e1, e2)
 
 
@@ -775,8 +736,8 @@ def _old_curve_mc_1d(func, kernel, cfg):
         return np.where(ok, kernel.height * np.abs(func(x) - func(np.clip(y, 0.0, 1.0)))
                         ** cfg.p / uu ** cfg.p, 0.0)
 
-    return _sequential_mc(integrand, [np.linspace(-r, r, 17), (0, 1)],
-                          max(16_000, cfg.samples), _stream(cfg.seed, 0))
+    return _sequential_lattice(integrand, [(-r, r), (0, 1)], cfg.samples,
+                               _stream(cfg.seed, 0))
 
 
 def _old_callable_mc_2d(func, kernel, cfg):
@@ -797,16 +758,16 @@ def _old_callable_mc_2d(func, kernel, cfg):
         safe = np.where(ok, norm, 1.0)
         return np.where(ok, phi * np.abs(fx - fy) ** cfg.p / safe ** cfg.p, 0.0)
 
-    return _sequential_mc(integrand, [np.linspace(-r, r, 17), (-r, r), (0, 1), (0, 1)],
-                          max(16_000, cfg.samples), _stream(cfg.seed, 0))
+    return _sequential_lattice(integrand, [(-r, r), (-r, r), (0, 1), (0, 1)], cfg.samples,
+                               _stream(cfg.seed, 0))
 
 
 @pytest.fixture(params=[1, 2, 4], ids=lambda c: f"{c}cpu")
 def cpus(request, monkeypatch):
     """The number of CPUs the sampler sees, and so its thread count: every
-    budget is spread over threads, however small its boxes."""
+    budget is spread over threads, however few points its shifts have."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
-    monkeypatch.setattr(oracle, "_THREAD_DRAWS", 0)
+    monkeypatch.setattr(oracle, "_THREAD_POINTS", 0)
     return request.param
 
 
@@ -821,38 +782,40 @@ def _in_place(fn):
     return wrapped
 
 
+def _cos_sum(*arrays):
+    return np.cos(sum(k * a for k, a in enumerate(arrays, start=1)))
+
+
 @pytest.mark.parametrize("axes, nsamples, start", [
-    # one axis: 16 boxes of 7 draws, so the boxes start at odd raw draws too
-    ([np.linspace(-0.3, 0.9, 17)], 16 * 7 + 3, 0),
-    ([np.linspace(-0.3, 0.9, 17)], 16 * 7, 5),
-    # three boxes, which no thread count here splits evenly
-    ([np.linspace(0.1, 0.7, 4)], 3 * 5 + 1, 1),
-    # two axes: 16 boxes of 2 x 9 draws
-    ([np.linspace(0.0, 0.5, 5), np.linspace(-1.0, 2.0, 5)], 16 * 9, 3),
-    # four axes: 4 boxes of 4 x 5 draws, and one box of 4 x 1001 draws
-    ([np.linspace(0.0, 1.0, 3), (0, 1), np.linspace(-0.1, 0.1, 3), (-0.1, 0.1)], 21, 2),
+    # one axis: lattices of 4 points, from a budget that is and one that is
+    # not a multiple of 16 N, and of 1 point
+    ([(-0.3, 0.9)], 16 * 7 + 3, 0),
+    ([(-0.3, 0.9)], 16 * 7, 5),
+    ([(0.1, 0.7)], 16, 1),
+    # two axes: 8 points; four axes: 1 and 32 points
+    ([(0.0, 0.5), (-1.0, 2.0)], 16 * 9, 3),
+    ([(0.0, 1.0), (0, 1), (-0.1, 0.1), (-0.1, 0.1)], 21, 2),
     ([(0, 1), (0, 1), (-0.25, 0.25), (-0.25, 0.25)], 1001, 0),
+    # two chunks of 32,768 points a shift
+    ([(0.0, 1.0), (-0.5, 0.5)], 16 * (1 << 16) + 5, 0),
 ])
 @pytest.mark.parametrize("in_place", [False, True])
 def test_threaded_sampler_is_bit_identical_to_the_sequential_loop(cpus, axes, nsamples,
                                                                   start, in_place):
-    def fn(*arrays):
-        return np.cos(sum(k * a for k, a in enumerate(arrays, start=1)))
-
-    if in_place:
-        fn = _in_place(fn)
+    # the sampler draws its shifts from where the stream stands, as the
+    # second piece of the singular 1D factor does after the first
+    fn = _in_place(_cos_sum) if in_place else _cos_sum
     for seed, task in [(0, 0), (7, 1024 * 2 + 1), (2 ** 63, 5)]:
-        ref = _stream(seed, task)
-        ref.uniform(size=start)
-        assert (_hex_pair(_stratified_mc(fn, axes, nsamples, (seed, task), start))
-                == _hex_pair(_sequential_mc(fn, axes, nsamples, ref)))
+        rng, ref = _stream(seed, task), _stream(seed, task)
+        rng.random(start)
+        ref.random(start)
+        assert (_hex_pair(_lattice_mc(fn, axes, nsamples, rng))
+                == _hex_pair(_sequential_lattice(fn, axes, nsamples, ref)))
 
 
 @pytest.mark.parametrize("p", [1.5, 1.8])
 def test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p):
-    # the second piece draws from where the first one ended, and with
-    # oracle._CHUNK patched the first piece's cut boxes hold fewer draws than
-    # 16 uncut ones
+    # the second piece draws its shifts from the one stream after the first
     for nsamples in (50_000, 32 * 3, 32 * 1001):
         for grid_m, kscale in [(8, 4), (8, 16)]:
             kernel = Kernel(KernelKind.BOX1D, kscale)
@@ -884,18 +847,33 @@ def _assert_mc_callables_match_the_sequential_loop(p, curves):
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
 def test_mc_callables_are_bit_identical_to_the_sequential_loop(cpus, p):
-    # each box is one chunk here, so even a callable that is not element-wise
-    # (a Python scalar of the whole box) sees the same arrays
+    # each shift is one chunk here, so even a callable that is not
+    # element-wise (a Python scalar of the whole chunk) sees the same arrays
     _assert_mc_callables_match_the_sequential_loop(
         p, (*_CURVES, lambda x: float(x.max())))
 
 
 def test_small_budgets_run_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    assert _threads(16, oracle._THREAD_DRAWS - 1) == 1
-    assert _threads(16, oracle._THREAD_DRAWS) == 4
-    assert _threads(3, oracle._THREAD_DRAWS) == 3
     callers = set()
+    main = threading.get_ident()
+
+    def record(x):
+        callers.add(threading.get_ident())
+        return x
+
+    # shifts of half the threshold on four CPUs and of many chunks on one run
+    # on the calling thread; shifts at the threshold on 64 CPUs take at most
+    # one thread per shift
+    for cpus, points in [(4, oracle._THREAD_POINTS // 2), (1, 1 << 20),
+                         (64, oracle._THREAD_POINTS)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        callers.clear()
+        _lattice_mc(record, [(0.0, 1.0)], 16 * points, _stream(1, 2))
+        if cpus == 64:
+            assert main not in callers and len(callers) <= oracle._SHIFTS
+        else:
+            assert callers == {main}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
 
     def func(x):
         callers.add(threading.get_ident())
@@ -905,30 +883,20 @@ def test_small_budgets_run_on_the_calling_thread(monkeypatch):
         callers.add(threading.get_ident())
         return x * y
 
-    # the curve sampler draws 16 boxes of 2 x samples / 16 in 1D and of
-    # 4 x samples / 16 in 2D: the default budget, the last budget below the
-    # threshold and the first one at it
-    main = threading.get_ident()
+    # a curve's lattice has N points, 16 N at most the budget: the default
+    # budget, the last budget below the threshold and the first one at it
     square = Kernel(KernelKind.SQUARE2D, 8)
+    first = 16 * oracle._THREAD_POINTS
     for f, kernel, samples, on_main in [
             (func, BOX, OracleConfig().samples, True),
-            (func, BOX, 8 * oracle._THREAD_DRAWS - 16, True),
-            (func, BOX, 8 * oracle._THREAD_DRAWS, False),
+            (func, BOX, first - 1, True),
+            (func, BOX, first, False),
             (func_2d, square, OracleConfig().samples, True),
-            (func_2d, square, 4 * oracle._THREAD_DRAWS - 16, True),
-            (func_2d, square, 4 * oracle._THREAD_DRAWS, False)]:
+            (func_2d, square, first - 1, True),
+            (func_2d, square, first, False)]:
         callers.clear()
         oracle_eval(f, kernel, OracleConfig(method="mc", samples=samples, seed=1))
         assert (callers == {main}) if on_main else (main not in callers)
-    # one axis of one and of two points past the threshold per stratum, cut
-    # into three boxes: the thread rule counts the draws of a stratum before
-    # the cut, where three boxes of 65,537 // 3 draws are one below it
-    for extra in (1, 2):
-        callers.clear()
-        _stratified_mc(lambda x: callers.add(threading.get_ident()) or x,
-                       [np.linspace(0.0, 1.0, 17)], 16 * (oracle._THREAD_DRAWS + extra),
-                       (1, 2))
-        assert callers and main not in callers
 
 
 def test_a_callable_that_runs_the_oracle_gets_other_arrays(cpus):
@@ -950,111 +918,81 @@ def test_a_callable_that_runs_the_oracle_gets_other_arrays(cpus):
 
 @pytest.mark.parametrize("per", [5, 8, 9, 21], ids=lambda n: f"per{n}")
 @pytest.mark.parametrize("axes", [
-    # three boxes, four boxes and two boxes
-    [np.linspace(-0.3, 0.9, 4)],
-    [np.linspace(0.0, 0.5, 3), np.linspace(-1.0, 2.0, 3)],
-    [np.linspace(0.0, 1.0, 3), (0, 1), (-0.1, 0.1), (-0.1, 0.1)],
+    [(-0.3, 0.9)],
+    [(0.0, 0.5), (-1.0, 2.0)],
+    [(0.0, 1.0), (0, 1), (-0.1, 0.1), (-0.1, 0.1)],
 ], ids=["1axis", "2axes", "4axes"])
 @pytest.mark.parametrize("in_place", [False, True])
 def test_cut_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypatch, axes,
                                                              per, in_place):
-    # chunks of 8 points: a box below, at, one past and between multiples of
-    # the chunk, cut into one, one, two and three pieces of fewer points, so
-    # that runs start between the first draws of uncut boxes
+    # chunks of 8 points: budgets of 16 x 10, 16, 18 and 42 points a shift
+    # give shifts of 8, 16, 16 and 32 points, one, two, two and four chunks
     monkeypatch.setattr(oracle, "_CHUNK", 8)
-
-    def fn(*arrays):
-        return np.cos(sum(k * a for k, a in enumerate(arrays, start=1)))
-
-    if in_place:
-        fn = _in_place(fn)
-    boxes = math.prod(len(e) - 1 for e in axes)
-    for seed, task, start in [(0, 0, 0), (7, 1024 * 2 + 1, 5), (2 ** 63, 5, 3)]:
-        ref = _stream(seed, task)
-        ref.uniform(size=start)
-        assert (_hex_pair(_stratified_mc(fn, axes, boxes * per + 1, (seed, task), start))
-                == _hex_pair(_sequential_mc(fn, axes, boxes * per + 1, ref)))
+    fn = _in_place(_cos_sum) if in_place else _cos_sum
+    for seed, task in [(0, 0), (7, 1024 * 2 + 1), (2 ** 63, 5)]:
+        assert (_hex_pair(_lattice_mc(fn, axes, 32 * per, _stream(seed, task)))
+                == _hex_pair(_sequential_lattice(fn, axes, 32 * per, _stream(seed, task))))
 
 
 @pytest.mark.parametrize("per", [8, 9, 40], ids=lambda n: f"per{n}")
 def test_sampler_builds_one_stream_per_run(cpus, monkeypatch, per):
-    # three boxes of two axes, cut into three, six and fifteen boxes of at
-    # most 8 points, on one run per thread
+    # one stream per task, however many chunks and threads its shifts take:
+    # the two pieces of the singular 1D factor share theirs
     monkeypatch.setattr(oracle, "_CHUNK", 8)
     built = []
     monkeypatch.setattr(oracle, "_stream", lambda *args: built.append(args) or _stream(*args))
-    _stratified_mc(lambda x, y: x * y, [np.linspace(0.0, 1.0, 4), (0, 1)], 3 * per, (1, 2))
-    assert len(built) == min(cpus, 3 * -(-per // 8))
-
-
-_TASKS = st.integers(0, 64) | st.builds(lambda dx, dy: 1024 * dx + dy,
-                                        st.integers(0, 1023), st.integers(0, 1023))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 64 - 1), task=_TASKS, start=st.integers(0, 4 * 10 ** 6))
-@example(seed=2 ** 64 - 1, task=1024 * 1023 + 1023, start=4 * 10 ** 6)
-@example(seed=0, task=0, start=1)
-def test_positioned_stream_continues_the_stream(seed, task, start):
-    # thread-count invariance rests on this: each run of boxes starts its own
-    # copy of the stream at its first raw draw, and sees there the doubles
-    # that one stream drawn from the start gives
-    ref = _stream(seed, task)
-    for size in [1 << 16] * (start >> 16) + [start & 0xFFFF]:
-        ref.random(size)
-    assert _stream(seed, task, start).random(64).tobytes() == ref.random(64).tobytes()
-    # and two tasks of one seed draw different streams
-    other = task + 1 if task % 1024 < 1023 else task - 1
-    assert (_stream(seed, task, start).random(4).tobytes()
-            != _stream(seed, other, start).random(4).tobytes())
-
-
-@settings(max_examples=200, deadline=None)
-@given(ends=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(sorted),
-       size=st.integers(1, 3000), seed=st.integers(0, 2 ** 64 - 1),
-       start=st.integers(0, 4 * 10 ** 6))
-def test_scaled_random_draws_equal_uniform(ends, size, seed, start):
-    # the sampler's draws, from any raw draw of a stream
-    lo, hi = ends
-    rng, ref = _stream(seed, 3, start), _stream(seed, 3, start)
-    buf = np.empty(size)
-    rng.random(out=buf)
-    buf *= hi - lo
-    buf += lo
-    assert buf.tobytes() == ref.uniform(lo, hi, size).tobytes()
-    # and both took the same raw draws
-    assert rng.random() == ref.random()
+    for evaluate in [
+            lambda: _factor.__wrapped__((1,), 8, KernelKind.BOX1D, 4, "mc", 8, 32 * per, 3, 1.5),
+            lambda: _factor.__wrapped__((2, 1), 6, KernelKind.DISC2D, 3, "mc", 8, 32 * per, 3,
+                                        1.0),
+            lambda: oracle._curve_mc(np.sin, BOX, replace(_MC_CFG, samples=10_000))]:
+        built.clear()
+        evaluate()
+        assert len(built) == 1
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
 def test_cut_factors_and_callables_are_bit_identical_to_the_sequential_loop(
         cpus, monkeypatch, p):
-    # chunks of 1,000 points cut the singular factor's boxes of 1,001 and
-    # 1,562 points in two and leave those of 3, and cut the 1D curves' boxes
-    # of 2,501 and the 2D callables' boxes of 1,875 in three and two
-    monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    # chunks of 256 points cut the singular factor's shifts of 512 and 1,024
+    # points, and leave those of 2, and cut the 1D curves' shifts of 2,048
+    # points and the 2D callables' of 1,024
+    monkeypatch.setattr(oracle, "_CHUNK", 256)
     if p > 1.0:
         test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p)
     _assert_mc_callables_match_the_sequential_loop(p, _CURVES)
 
 
-@st.composite
-def _sampled_values(draw):
-    # large or awkward lengths, sign-mixed and zero-heavy
-    size = draw(st.sampled_from([2, 3, 127, 128, 129]) | st.integers(2, 70_000))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    vals = rng.normal(draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e6)), size)
-    vals[rng.uniform(size=size) < draw(st.floats(0.0, 1.0))] = 0.0
-    return vals
+class _NoShift:
+    # a stream stand-in whose shifts are all zero: the sampler then sums the
+    # unshifted lattice
+    @staticmethod
+    def integers(high, size):
+        return np.zeros(size, dtype=np.int64)
 
 
-@settings(max_examples=300, deadline=None)
-@given(vals=_sampled_values() | st.lists(st.just(0.0) | st.floats(-1e100, 1e100),
-                                         min_size=2, max_size=200).map(np.array))
-def test_in_place_moments_equal_mean_and_std(vals):
-    # a numpy release that changes how std sums its squares fails here
-    want = (float(vals.mean()), float(vals.std(ddof=1)))
-    assert _hex_pair(_moments(vals.copy())) == _hex_pair(want)
+@settings(max_examples=100, deadline=None)
+@given(nsamples=st.integers(16, 300_000), dim=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_lattice_axes_are_permutations_and_use_at_most_the_budget(nsamples, dim, seed):
+    seen = []
+
+    def record(*arrays):
+        seen.append(np.array(arrays))
+        return np.zeros(arrays[0].size)
+
+    _lattice_mc(record, [(0.0, 1.0)] * dim, nsamples, _NoShift())
+    points = np.concatenate(seen, axis=1)
+    n = points.shape[1] // 16
+    assert nsamples / 2 < 16 * n <= nsamples
+    for axis in points[:, :n]:
+        assert np.array_equal(np.sort(axis), np.arange(n) / n)
+    assert np.array_equal(points, np.tile(points[:, :n], 16))
+    # the shifted points lie in [0, 1) too
+    seen.clear()
+    _lattice_mc(record, [(0.0, 1.0)] * dim, nsamples, _stream(seed, 0))
+    points = np.concatenate(seen, axis=1)
+    assert points.shape[1] == 16 * n and np.all((points >= 0.0) & (points < 1.0))
 
 
 def _mc_peak(f, kernel, samples):
@@ -1067,9 +1005,9 @@ def _mc_peak(f, kernel, samples):
 
 
 def _assert_peak_is_chunks_per_thread(monkeypatch, f, kernel, chunks):
-    # two threads, at a budget of 250,000 points per u stratum and at four
-    # times that: the peak is a few arrays of one chunk per thread, and only
-    # the box moments (16 bytes a box) grow with the budget
+    # two threads, at budgets of 4 and 16 million points (shifts of 4 and 16
+    # chunks): the peak is a few arrays of one chunk per thread, whatever
+    # the budget
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     arrays = 2 * oracle._CHUNK * 8
     small = _mc_peak(f, kernel, 16 * 250_000)
@@ -1079,15 +1017,17 @@ def _assert_peak_is_chunks_per_thread(monkeypatch, f, kernel, chunks):
 
 
 def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
-    # two draw buffers, the values, |u| and the lookup's scratch: 6.2 to 7.4
+    # two point arrays, their integer scratch, the lattice steps shared by
+    # the threads, the values, |u| and the lookup's scratch: 8.3 to 8.4
     # chunk arrays per thread seen
     spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129))
     _assert_peak_is_chunks_per_thread(monkeypatch, spline, Kernel(KernelKind.BOX1D, 128), 9)
 
 
 def test_callable_2d_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
-    # four draw buffers, the values, the norm and the callable's own
-    # temporaries: 9.7 to 10.2 chunk arrays per thread seen
+    # four point arrays, their integer scratch, the shared lattice steps, the
+    # values, the norm and the callable's own temporaries: 11.1 chunk arrays
+    # per thread seen
     _assert_peak_is_chunks_per_thread(monkeypatch, lambda x, y: np.sin(3 * x) + y * y,
                                       Kernel(KernelKind.SQUARE2D, 8), 12)
 
@@ -1125,9 +1065,9 @@ _MC_CFG = OracleConfig(method="mc", samples=50_000, seed=3)
                                           _MC_CFG), id="2d-square-curve"),
 ])
 def test_mc_integrands_allocate_nothing_after_their_first_box(monkeypatch, evaluate):
-    # a box of 32,768 points: one float array is 256 KiB, one boolean 32 KiB
+    # a chunk of 32,768 points: one float array is 256 KiB, one boolean 32 KiB
     integrands = []
-    monkeypatch.setattr(oracle, "_stratified_mc",
+    monkeypatch.setattr(oracle, "_lattice_mc",
                         lambda fn, axes, *args: integrands.append((fn, axes)) or (0.0, 0.0))
     evaluate()
     assert integrands
@@ -1138,8 +1078,8 @@ def test_mc_integrands_allocate_nothing_after_their_first_box(monkeypatch, evalu
 
 
 def test_mc_reports_hold_python_floats():
-    # the strata edges are numpy scalars, and so would be the sum of the
-    # volume-weighted box means
+    # the pieces' edges are numpy scalars, and so would be the volume and
+    # the estimate
     cfg = OracleConfig(method="mc", samples=20_000, seed=1)
     spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 9))
     for f, kernel in [(spline, BOX), (np.sin, BOX), (lambda x, y: x * y, DISC)]:
