@@ -41,8 +41,11 @@ from .schemes_1d import (
 )
 from .schemes_2d import Image2D, eval_image
 
-# a PGM token after any whitespace and comments; empty at the end of the data
-_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+# the magic, width, height and maxval, each after any whitespace and
+# comments; a group is empty at the end of the data
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
+# a comment, if its '#' starts a token: it runs to the end of its line
+_PGM_COMMENT = re.compile(rb"#[^\n]*")
 
 
 class UsageError(Exception):
@@ -105,15 +108,6 @@ def write_signal_csv(path: str, values, header: str | None = None) -> None:
         fh.write(("%.17g\n" * len(flat)) % tuple(flat))
 
 
-def _pgm_tokens(data: bytes):
-    match = _PGM_TOKEN.match(data)
-    while match.group(1):
-        yield match.start(1), match.group(1)
-        match = _PGM_TOKEN.match(data, match.end())
-    while True:
-        yield len(data), None
-
-
 def _pgm_number(tok: bytes) -> int:
     """The value of a PGM number, which is plain ASCII digits (no sign,
     underscore or other digit), or -1 for any other token."""
@@ -123,13 +117,13 @@ def _pgm_number(tok: bytes) -> int:
         return -1
 
 
-def _plain_p2_pixels(raster: bytes, count: int):
-    """The first ``count`` P2 pixels in one call if they are plain decimals
-    of at most 9 digits (no comment, no uint32 overflow); else None."""
-    words = raster.split()[:count]
-    if len(words) == count and max(map(len, words)) <= 9 and b"".join(words).isdigit():
-        return np.array(words, dtype=np.uint32)
-    return None
+def _blank_comment(match) -> bytes:
+    """A comment as spaces, so that every token keeps its byte offset. A '#'
+    inside a token and the rest of its line stay: that token is a bad pixel."""
+    start = match.start()
+    if start and not match.string[start - 1:start].isspace():
+        return match.group()
+    return b" " * (match.end() - start)
 
 
 def read_pgm(path: str):
@@ -140,41 +134,42 @@ def read_pgm(path: str):
             data = fh.read()
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
-    tokens = _pgm_tokens(data)
-    pos, magic = next(tokens)
+    header = _PGM_HEADER.match(data)
+    magic = header.group(1) or None
     if magic not in (b"P2", b"P5"):
         raise InputFormatError(f"{path}: not a PGM file (magic {magic!r})")
-    header = []
-    maxval_end = 0
-    for name in ("width", "height", "maxval"):
-        pos, tok = next(tokens)
-        if tok is None:
+    numbers = []
+    for group, name in enumerate(("width", "height", "maxval"), start=2):
+        pos, tok = header.start(group), header.group(group)
+        if not tok:
             raise InputFormatError(f"{path}: truncated header, missing {name}")
         value = _pgm_number(tok)
         if value < 0:
             raise InputFormatError(f"{path}: byte {pos}: bad {name} {tok!r}")
         if value == 0:
             raise InputFormatError(f"{path}: byte {pos}: {name} must be positive")
-        header.append(value)
-        maxval_end = pos + len(tok)
-    width, height, maxval = header
+        numbers.append(value)
+    width, height, maxval = numbers
     if maxval > 65535:
         raise InputFormatError(f"{path}: maxval {maxval} exceeds 65535")
     count = width * height
+    maxval_end = header.end(4)
     if magic == b"P2":
-        pixels = _plain_p2_pixels(data[maxval_end:], count)
-        if pixels is None:
-            values = []  # sized by the tokens read, not by the header
-            for k in range(count):
-                pos, tok = next(tokens)
-                if tok is None:
-                    raise InputFormatError(f"{path}: byte {pos}: expected "
-                                           f"{count} pixels, got {k}")
-                value = _pgm_number(tok)
-                if not 0 <= value < 2 ** 32:
-                    raise InputFormatError(f"{path}: byte {pos}: bad pixel {tok!r}")
-                values.append(value)
-            pixels = np.array(values, dtype=np.uint32)
+        raster = _PGM_COMMENT.sub(_blank_comment, data[maxval_end:])
+        words = raster.split()[:count]
+        try:
+            # numpy converts through int(), which also takes a sign or an underscore
+            pixels = np.array(words, dtype=np.uint32) if b"".join(words).isdigit() else None
+        except (OverflowError, ValueError):  # 2^32 or more, or too many digits
+            pixels = None
+        if pixels is None or len(words) < count:
+            # the first bad pixel read, else a short raster
+            for tok, match in zip(words, re.finditer(rb"\S+", raster)):
+                if not 0 <= _pgm_number(tok) < 2 ** 32:
+                    raise InputFormatError(f"{path}: byte {maxval_end + match.start()}: "
+                                           f"bad pixel {tok!r}")
+            raise InputFormatError(f"{path}: byte {len(data)}: expected "
+                                   f"{count} pixels, got {len(words)}")
     else:
         # single whitespace byte after the maxval token, then the raster
         start = maxval_end + 1

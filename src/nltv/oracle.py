@@ -74,10 +74,11 @@ class OracleConfig:
     """Evaluation policy for the oracle.
 
     ``samples`` is the total Monte Carlo budget for one evaluation, split
-    evenly over the active integration tasks; it bounds the points used,
-    and a task uses between half and all of its share (16 shifts of a
-    power-of-two lattice). ``points_per_cell_axis`` is the Gauss-Legendre
-    order used on every quadrature panel.
+    evenly over the active integration tasks but at least 1,000 for each
+    pair offset of a piecewise constant input, so past ``samples`` / 1,000
+    offsets the points used can pass it. A task uses between half and all
+    of its share (16 shifts of a power-of-two lattice), and
+    ``points_per_cell_axis`` is the Gauss-Legendre order of every panel.
     """
 
     method: str = MONTE_CARLO
@@ -356,11 +357,14 @@ def _factor(offset: tuple, grid_n: int, kind: KernelKind, kernel_n: int, method:
         return 0.0, 0.0
     # the correlation of two touching cells vanishes linearly at the origin,
     # so against the radial measure rho^(dim-1) the integral of rho^(-p)
-    # diverges from p = dim + 1 on
+    # diverges from p = dim + 1 on; the 2D (1, 0) integrand grows like
+    # |u|^(1-p) there, so its variance is infinite from p = 2 on
     touching = max(offset) <= 1
     if touching and p >= dim + 1:
         raise ValueError(f"the touching-pair factor diverges for p >= {dim + 1} "
                          f"in {dim}D")
+    if method == MONTE_CARLO and offset == (1, 0) and p >= 2:
+        raise ValueError("Monte Carlo has infinite variance on the (1, 0) pair for p >= 2")
 
     norm_outside = _norm_outside(kernel)
 

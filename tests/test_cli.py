@@ -1,7 +1,8 @@
+import itertools
 import math
+import re
 import shlex
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -280,11 +281,13 @@ def test_signal_roundtrip(tmp_path):
 
 def test_p2_pgm_example(tmp_path):
     path = tmp_path / "img.pgm"
-    path.write_text("P2\n# a comment\n2 2\n255\n0 0\n255 255\n")
-    arr, maxval = read_pgm(str(path))
-    assert maxval == 255
-    assert arr.tolist() == [[0.0, 0.0], [1.0, 1.0]]
-    assert image_from_pgm(arr).coeffs.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    # comments in the header, and in the raster too
+    for raster in ("0 0\n255 255\n", "0 0 # a row\n# 7 7\n255 255\n"):
+        path.write_text("P2\n# a comment\n2 2\n255\n" + raster)
+        arr, maxval = read_pgm(str(path))
+        assert maxval == 255
+        assert arr.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+        assert image_from_pgm(arr).coeffs.tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
 
 _PLAIN_TOKEN = st.integers(0, 70_000).map(str)
@@ -299,8 +302,8 @@ _SEPARATORS = st.sampled_from([" ", "\n", "\t", "\r\n", " \x0b", "\x0c", "\n# 7 
 def _p2_files(draw):
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     maxval = draw(st.sampled_from([1, 255, 300, 65535]))
-    # half the files hold only plain decimal tokens, so the one-conversion
-    # path is taken often; trailing tokens and short rasters in both halves
+    # half the files hold only plain decimal tokens, so that many are read
+    # whole; trailing tokens and short rasters in both halves
     tokens = _PLAIN_TOKEN if draw(st.booleans()) else _ANY_TOKEN
     words = draw(st.lists(tokens, max_size=width * height + 3))
     seps = draw(st.lists(_SEPARATORS if draw(st.booleans()) else st.just(" "),
@@ -318,17 +321,6 @@ def _read_outcome(path):
     except Exception as exc:
         return type(exc), str(exc)
     return arr.shape, arr.tobytes(), maxval
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=_p2_files())
-def test_p2_fast_path_matches_positional_reader(tmp_path, data):
-    path = tmp_path / "img.pgm"
-    path.write_bytes(data)
-    got = _read_outcome(str(path))
-    with mock.patch.object(cli, "_plain_p2_pixels", return_value=None):
-        assert _read_outcome(str(path)) == got
 
 
 def _byte_walk_tokens(data: bytes):
@@ -352,18 +344,73 @@ def _byte_walk_tokens(data: bytes):
         yield len(data), None
 
 
+def _positional_outcome(path):
+    """What read_pgm gave when it read a P2 file one byte-walk token at a
+    time: like _read_outcome, the array and maxval or the error."""
+    tokens = _byte_walk_tokens(Path(path).read_bytes())
+
+    def fail(message):
+        return InputFormatError, f"{path}: {message}"
+
+    _, magic = next(tokens)
+    if magic not in (b"P2", b"P5"):
+        return fail(f"not a PGM file (magic {magic!r})")
+    assert magic == b"P2"
+    header = []
+    for name in ("width", "height", "maxval"):
+        pos, tok = next(tokens)
+        if tok is None:
+            return fail(f"truncated header, missing {name}")
+        value = cli._pgm_number(tok)
+        if value < 0:
+            return fail(f"byte {pos}: bad {name} {tok!r}")
+        if value == 0:
+            return fail(f"byte {pos}: {name} must be positive")
+        header.append(value)
+    width, height, maxval = header
+    if maxval > 65535:
+        return fail(f"maxval {maxval} exceeds 65535")
+    values = []
+    for k in range(width * height):
+        pos, tok = next(tokens)
+        if tok is None:
+            return fail(f"byte {pos}: expected {width * height} pixels, got {k}")
+        value = cli._pgm_number(tok)
+        if not 0 <= value < 2 ** 32:
+            return fail(f"byte {pos}: bad pixel {tok!r}")
+        values.append(value)
+    if max(values) > maxval:
+        return fail(f"pixel value exceeds maxval {maxval}")
+    arr = np.array(values, dtype=float).reshape(height, width) / float(maxval)
+    return arr.shape, arr.tobytes(), maxval
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_p2_files())
+def test_p2_reader_matches_positional_reader(tmp_path, data):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    assert _read_outcome(str(path)) == _positional_outcome(str(path))
+
+
 @settings(max_examples=2000, deadline=None)
 @given(data=st.lists(st.sampled_from([b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"#",
                                       b"0", b"7", b"-", b"\x1c", b"\xa0", b"\x00"]),
                      max_size=40).map(b"".join))
 def test_pgm_tokens_match_the_byte_walk(data):
-    got, ref = cli._pgm_tokens(data), _byte_walk_tokens(data)
-    while True:
-        token = next(got)
-        assert token == next(ref)
-        if token[1] is None:
-            assert next(got) == token
-            break
+    walk = list(itertools.takewhile(lambda token: token[1] is not None,
+                                    _byte_walk_tokens(data)))
+    # the header pattern: the first four tokens, each empty at the end
+    header = cli._PGM_HEADER.match(data)
+    assert ([(header.start(g), header.group(g) or None) for g in range(1, 5)]
+            == (walk + [(len(data), None)] * 4)[:4])
+    # the comment blanking: the same tokens at the same offsets, up to the
+    # first token that holds a '#', a bad pixel after which none is read
+    blanked = cli._PGM_COMMENT.sub(cli._blank_comment, data)
+    got = [(match.start(), match.group()) for match in re.finditer(rb"\S+", blanked)]
+    stop = next((k + 1 for k, (_, tok) in enumerate(walk) if b"#" in tok), None)
+    assert len(blanked) == len(data) and got[:stop] == walk[:stop]
 
 
 def test_p5_roundtrip_quantization_bound(tmp_path):

@@ -355,6 +355,22 @@ def test_dimension_and_exponent_errors():
                                 OracleConfig(method=method))
 
 
+def test_monte_carlo_refuses_the_face_touching_2d_pair_from_p_2():
+    # the (1, 0) integrand grows like |u|^(1-p): from p = 2 on its variance
+    # is infinite and the shift spread no error bar; Gauss and the (1, 1)
+    # pair still evaluate there
+    for p in (2.0, 2.5):
+        mc = OracleConfig(method="mc", p=p)
+        for offset in [(1, 0), (0, -1)]:
+            with pytest.raises(ValueError, match="infinite variance"):
+                geometric_factor_2d(offset, 4, DISC, mc)
+        with pytest.raises(ValueError, match="infinite variance"):
+            oracle_eval(Image2D(np.eye(4)), DISC, mc)
+        assert geometric_factor_2d((1, 1), 4, DISC, mc)[0] > 0.0
+        assert geometric_factor_2d((1, 0), 4, DISC, OracleConfig(method="gauss", p=p))[0] > 0.0
+    assert geometric_factor_2d((1, 0), 4, DISC, OracleConfig(method="mc", p=1.9))[0] > 0.0
+
+
 def test_fractional_exponent_pc():
     # p = 1.5 stays integrable for piecewise constants in 1D
     f = PiecewiseConstant1D([0.0, 1.0, 0.0])
@@ -993,6 +1009,34 @@ def test_lattice_axes_are_permutations_and_use_at_most_the_budget(nsamples, dim,
     _lattice_mc(record, [(0.0, 1.0)] * dim, nsamples, _stream(seed, 0))
     points = np.concatenate(seen, axis=1)
     assert points.shape[1] == 16 * n and np.all((points >= 0.0) & (points < 1.0))
+
+
+@pytest.mark.parametrize("scale, samples, tasks, points", [
+    # 122 pair offsets at 1,000 samples each, the floor: 512 points apiece
+    (1, 10_000, 122, 62_464),
+    # 39 offsets at 2,564 samples each: 2,048 points apiece
+    (2, 100_000, 39, 79_872),
+])
+def test_image_points_are_bounded_by_samples_or_the_task_floor(monkeypatch, scale, samples,
+                                                               tasks, points):
+    budgets, sizes = [], []
+
+    def counting(fn, box, nsamples, rng):
+        def counted(*u):
+            sizes.append(u[0].size)
+            return fn(*u)
+
+        budgets.append(nsamples)
+        return _lattice_mc(counted, box, nsamples, rng)
+
+    monkeypatch.setattr(oracle, "_factor", _factor.__wrapped__)
+    monkeypatch.setattr(oracle, "_lattice_mc", counting)
+    image = Image2D(np.random.default_rng(0).uniform(0.0, 1.0, (16, 16)))
+    oracle_eval(image, Kernel(KernelKind.DISC2D, scale),
+                OracleConfig(method="mc", samples=samples, seed=1))
+    assert len(budgets) == tasks and sum(sizes) == points
+    assert set(budgets) == {max(1000, samples // tasks)}
+    assert sum(sizes) <= max(samples, 1000 * tasks)
 
 
 def _mc_peak(f, kernel, samples):
