@@ -174,8 +174,8 @@ def kpn(p: float, dim: int) -> KpnConstant:
     exact for p in {1, 2} and within 3e-15 relative elsewhere. Dimensions
     above two are rejected since no scheme here needs them.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if dim == 1:

@@ -429,8 +429,10 @@ def taut_string_1d(data, lam: float) -> np.ndarray:
     strictly advances, so the construction terminates.
     """
     d = np.asarray(data, dtype=float).ravel()
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not lam >= 0:
+        raise ValueError(f"lam must be non-negative, got {lam}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("data must be finite")
     n = d.size
     if n == 0 or lam == 0.0:
         return d.copy()

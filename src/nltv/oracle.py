@@ -22,7 +22,7 @@ Two methods are available:
   thread per available CPU and the results are the same bit for bit
   whatever the thread count. An integrand gets one chunk per call and must
   act element-wise, and each thread holds arrays of that size only: points
-  made once per thread, scratch by ``schemes_1d.per_thread``.
+  made once per thread, scratch by ``stencil.per_thread``.
   ``_curve_mc`` samples 1D and 2D curves over the offset u and the point x.
 
 Geometric factors depend only on the relative cell offset. Both dimensions
@@ -41,9 +41,9 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import Kernel, KernelKind, in_reach, offsets_within_reach
-from .schemes_1d import PiecewiseConstant1D, Spline1D, per_thread
+from .schemes_1d import PiecewiseConstant1D, Spline1D
 from .schemes_2d import Image2D, StencilWeights
-from .stencil import Stencil
+from .stencil import Stencil, per_thread
 
 GAUSS = "gauss"
 MONTE_CARLO = "mc"
@@ -73,11 +73,11 @@ _PANEL_NODES = 1 << 15
 class OracleConfig:
     """Evaluation policy for the oracle.
 
-    ``samples`` is the total Monte Carlo budget for one evaluation, split
-    evenly over the active integration tasks but at least 1,000 for each
-    pair offset of a piecewise constant input, so past ``samples`` / 1,000
-    offsets the points used can pass it. A task uses between half and all
-    of its share (16 shifts of a power-of-two lattice), and
+    ``samples`` is the Monte Carlo budget of one ``oracle_eval`` or
+    ``oracle_terms`` call: all of it for a curve, an even share for each
+    distinct canonical pair offset, at least 1,000, so past ``samples`` /
+    1,000 offsets the points used can pass it. A task uses between half and
+    all of its share (16 shifts of a power-of-two lattice), and
     ``points_per_cell_axis`` is the Gauss-Legendre order of every panel.
     """
 
@@ -417,60 +417,52 @@ def _canonical(offset: tuple) -> tuple:
     return tuple(sorted((abs(o) for o in offset), reverse=True))
 
 
-def _pair_factor(offset: tuple, grid_n: int, kernel: Kernel, cfg: OracleConfig,
-                 nsamples: int):
-    """(factor, error) of the cell pairs at a 1D or 2D offset."""
-    if len(offset) != kernel.dim:
-        raise ValueError(f"a {len(offset)}D offset needs a {len(offset)}D kernel, "
-                         f"got {kernel.kind.value}")
-    seed = cfg.seed
+def _factors(offsets, grid_n: int, kernel: Kernel, cfg: OracleConfig) -> dict:
+    """{canonical offset: (factor, error)} of the cell pairs at the 1D or 2D
+    ``offsets``. Monte Carlo gives each canonical offset an even share of
+    ``cfg.samples``, at least 1,000; Gauss reads neither budget nor seed."""
+    canonical = sorted({_canonical(off) for off in offsets})
+    if any(len(off) != kernel.dim for off in canonical):
+        raise ValueError(f"the {kernel.kind.value} kernel needs {kernel.dim}D offsets")
+    nsamples, seed = max(1000, cfg.samples // max(1, len(canonical))), cfg.seed
     if cfg.method == GAUSS:
-        # Gauss uses neither, so every sample budget shares one cache entry
-        nsamples, seed = 0, 0
-    return _factor(_canonical(offset), grid_n, kernel.kind, kernel.n, cfg.method,
-                   cfg.points_per_cell_axis, nsamples, seed, cfg.p)
+        nsamples, seed = 0, 0  # so that every budget shares one cache entry
+    return {off: _factor(off, grid_n, kernel.kind, kernel.n, cfg.method,
+                         cfg.points_per_cell_axis, nsamples, seed, cfg.p)
+            for off in canonical}
 
 
 def _eval_piecewise_constant(a: np.ndarray, kernel: Kernel,
                              cfg: OracleConfig) -> EvalReport:
     """Sum over the offsets in reach of the coefficient differences
     sum |a_i - a_{i+o}|^p times the pair factor of the offset."""
-    n = a.shape[0]
     tasks = []
-    for off in offsets_within_reach(kernel, n):
+    for off in offsets_within_reach(kernel, a.shape[0]):
         coeff_sum = Stencil(a.shape, [(off, 1.0)]).value(a, cfg.p)
         if coeff_sum > 0.0:
             tasks.append((_canonical(off), coeff_sum))
-    if not tasks:
-        return EvalReport(0.0, 0.0, 0.0)
-    canonical = sorted({off for off, _ in tasks})
-    per_task = max(1000, cfg.samples // len(canonical))
-    factors = {off: _pair_factor(off, n, kernel, cfg, per_task) for off in canonical}
-    value = 0.0
-    coeff_by_offset = dict.fromkeys(canonical, 0.0)
+    factors = _factors([off for off, _ in tasks], a.shape[0], kernel, cfg)
+    value = spread = 0.0
+    coeff_by_offset = dict.fromkeys(factors, 0.0)
     for off, coeff_sum in tasks:
         value += coeff_sum * factors[off][0]
         coeff_by_offset[off] += coeff_sum
-    var = 0.0
-    delta = 0.0
-    for off in canonical:
-        err = coeff_by_offset[off] * factors[off][1]
-        if cfg.method == MONTE_CARLO:
-            var += err ** 2
-        else:
-            delta += err
-    return EvalReport(value, math.sqrt(var), delta)
+    # the MC variance or the Gauss refinement difference, in offset order
+    mc = cfg.method == MONTE_CARLO
+    for off, (_, err) in factors.items():
+        err *= coeff_by_offset[off]
+        spread += err ** 2 if mc else err
+    return EvalReport(value, math.sqrt(spread) if mc else 0.0, 0.0 if mc else spread)
 
 
 def oracle_terms(kernel: Kernel, grid_n: int, cfg: OracleConfig) -> list:
     """``(offset, weight)`` terms whose weights are the geometric factors of
-    every offset in kernel reach (zero factors left out)."""
-    terms = []
-    for off in offsets_within_reach(kernel, grid_n):
-        fac, _ = _pair_factor(off, grid_n, kernel, cfg, cfg.samples)
-        if fac > 0.0:
-            terms.append((off, fac))
-    return terms
+    every offset in kernel reach (zero factors left out). Monte Carlo splits
+    ``cfg.samples`` over the distinct canonical offsets as ``oracle_eval``
+    does, at least 1,000 each."""
+    offsets = offsets_within_reach(kernel, grid_n)
+    factors = _factors(offsets, grid_n, kernel, cfg)
+    return [(off, fac) for off in offsets if (fac := factors[_canonical(off)][0]) > 0.0]
 
 
 def _curve_breaks(knots: np.ndarray, shift: float, lo: float, hi: float) -> np.ndarray:
@@ -565,7 +557,7 @@ def geometric_factor_2d(offset, grid_n: int, kernel: Kernel, cfg: OracleConfig):
     dx, dy = offset
     if (dx, dy) == (0, 0) or grid_n < 1:
         raise ValueError("offset must be nonzero and grid_n >= 1")
-    return _pair_factor((dx, dy), grid_n, kernel, cfg, cfg.samples)
+    return _factors([(dx, dy)], grid_n, kernel, cfg)[_canonical((dx, dy))]
 
 
 def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:

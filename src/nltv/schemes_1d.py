@@ -11,13 +11,12 @@ Three element families on the unit interval, each with its matched kernel:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .stencil import Stencil
+from .stencil import Stencil, per_thread
 
 _LN2 = math.log(2.0)
 
@@ -33,22 +32,6 @@ _INTERP_DIRECT_MAX = 1024
 _INTERP_BLOCK = 1 << 15
 _INTERP_MAX_BINS = 1 << 20
 _BIN_MARGIN = 1e-9
-
-
-def per_thread(*dtypes):
-    """A function of ``size`` giving the calling thread one array of that
-    size per dtype: views of arrays made on its first call and grown to the
-    largest size it asks for. Each call of ``per_thread`` makes its own
-    store, so a callable that runs the oracle itself gets other arrays."""
-    store = threading.local()
-
-    def arrays(size: int):
-        got = getattr(store, "arrays", None)
-        if got is None or got[0].size < size:
-            got = store.arrays = [np.empty(size, dtype=dt) for dt in dtypes]
-        return [a[:size] for a in got]
-
-    return arrays
 
 
 # the block loop's scratch, kept per thread between calls

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -40,6 +41,22 @@ def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
     for i in range(0, a.size, _DOT_BLOCK):
         total += float(a[i:i + _DOT_BLOCK] @ b[i:i + _DOT_BLOCK])
     return total
+
+
+def per_thread(*dtypes):
+    """A function of ``size`` giving the calling thread one array of that
+    size per dtype: views of arrays made on its first call and grown to the
+    largest size it asks for. Each call of ``per_thread`` makes its own
+    store, so a callable that runs the oracle itself gets other arrays."""
+    store = threading.local()
+
+    def arrays(size: int):
+        got = getattr(store, "arrays", None)
+        if got is None or got[0].size < size:
+            got = store.arrays = [np.empty(size, dtype=dt) for dt in dtypes]
+        return [a[:size] for a in got]
+
+    return arrays
 
 
 class Stencil:

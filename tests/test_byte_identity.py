@@ -29,7 +29,7 @@ from nltv import (
 )
 from nltv.cli import main
 from nltv.minimize import SCHEME_CLOSED_1D, SCHEME_CLOSED_2D, SCHEME_ORACLE
-from nltv.oracle import _pair_factor, geometric_factor_2d
+from nltv.oracle import _factors, geometric_factor_2d
 
 
 def _signal(n, seed):
@@ -202,8 +202,8 @@ def _factor(name):
     method = "gauss" if name.startswith("gauss") else "mc"
     if "1d" in name:
         cfg = OracleConfig(method=method, p=1.5, samples=50_000, seed=3)
-        return _pair_factor((2 if name == "1d-d2" else 1,), 8,
-                            Kernel(KernelKind.BOX1D, 4), cfg, cfg.samples)
+        d = 2 if name == "1d-d2" else 1
+        return _factors([(d,)], 8, Kernel(KernelKind.BOX1D, 4), cfg)[(d,)]
     cfg = OracleConfig(method=method, samples=50_000, seed=3)
     kind = KernelKind.SQUARE2D if "square" in name else KernelKind.DISC2D
     return geometric_factor_2d((1, 0) if name == "2d-square-10" else (2, 1), 6,

@@ -156,8 +156,10 @@ def test_kpn_monotone_in_p():
 
 
 def test_kpn_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        kpn(0.5, 2)
+    for p in (0.5, math.nan, math.inf):
+        for dim in (1, 2):
+            with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+                kpn(p, dim)
     with pytest.raises(ValueError):
         kpn(1.0, 0)
     with pytest.raises(ValueError):

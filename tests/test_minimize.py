@@ -392,6 +392,13 @@ def test_taut_string_basics():
     assert np.allclose(got, [0.05, 0.05, 0.95, 0.95], atol=1e-14)
     with pytest.raises(ValueError):
         taut_string_1d(d, -0.1)
+    # lam -> inf pins the string at both ends only: the mean
+    assert np.array_equal(taut_string_1d(d, math.inf), np.full(3, d.mean()))
+    with pytest.raises(ValueError, match="lam"):
+        taut_string_1d(d, math.nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            taut_string_1d([0.3, bad, 0.7], 0.5)
 
 
 def test_taut_string_example_against_grid_search():

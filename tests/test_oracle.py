@@ -28,12 +28,12 @@ from nltv import (
 from nltv import oracle
 from nltv.oracle import (
     _factor,
+    _factors,
     _gauss_on_panels,
     _gauss_rule,
     _kink_angles,
     _lattice_mc,
     _norm_outside,
-    _pair_factor,
     _panel_nodes,
     _polar_factor,
     _refine,
@@ -174,8 +174,8 @@ def test_gauss_mc_cross_agreement_on_singularity_free_pairs():
     cfg_m = OracleConfig(method="mc", samples=400_000, seed=5)
     for n in (4, 9):
         kernel = Kernel(KernelKind.BOX1D_WIDE, n)
-        vg, eg = _pair_factor((2,), n, kernel, cfg_g, cfg_g.samples)
-        vm, em = _pair_factor((2,), n, kernel, cfg_m, cfg_m.samples)
+        vg, eg = _factors([(2,)], n, kernel, cfg_g)[(2,)]
+        vm, em = _factors([(2,)], n, kernel, cfg_m)[(2,)]
         scale = 3 * max(eg, em) + 1e-12 * abs(vg)
         assert abs(vg - vm) <= scale
     vg, eg = geometric_factor_2d((1, 1), 3, DISC, cfg_g)
@@ -186,9 +186,9 @@ def test_gauss_mc_cross_agreement_on_singularity_free_pairs():
 def test_matched_adjacent_factor_is_one():
     cfg = OracleConfig(method="gauss")
     for n in (2, 7, 32):
-        v, err = _pair_factor((1,), n, Kernel(KernelKind.BOX1D, n), cfg, cfg.samples)
+        v, err = _factors([(1,)], n, Kernel(KernelKind.BOX1D, n), cfg)[(1,)]
         assert abs(v - 1.0) < 1e-12
-    v, _ = _pair_factor((2,), 4, Kernel(KernelKind.BOX1D, 4), cfg, cfg.samples)
+    v, _ = _factors([(2,)], 4, Kernel(KernelKind.BOX1D, 4), cfg)[(2,)]
     assert v == 0.0
 
 
@@ -309,8 +309,9 @@ def test_kernel_values_2d_match_kernel_eval(kind):
     (Image2D(np.arange(16.0).reshape(4, 4) % 3), Kernel(KernelKind.SQUARE2D, 8)),
 ])
 def test_gauss_factors_are_shared_between_eval_and_stencil(f, kernel):
-    # Gauss ignores the sample budget and the seed, so oracle_eval (budget
-    # split over the offsets) and oracle_terms (whole budget) share factors
+    # Gauss ignores the sample budget and the seed, so oracle_eval and
+    # oracle_terms share factors though they split the budget over
+    # different numbers of offsets
     cfg = OracleConfig(method="gauss", samples=50_000, seed=4)
     grid_n = f.coeffs.shape[0]
     value = oracle_eval(f, kernel, cfg).value
@@ -348,7 +349,7 @@ def test_dimension_and_exponent_errors():
     # a pair factor needs a kernel of the offset's dimension
     cfg = OracleConfig(method="gauss")
     with pytest.raises(ValueError, match="kernel"):
-        _pair_factor((1,), 8, Kernel(KernelKind.DISC2D, 8), cfg, cfg.samples)
+        _factors([(1,)], 8, Kernel(KernelKind.DISC2D, 8), cfg)
     for method in ("gauss", "mc"):
         with pytest.raises(ValueError, match="kernel"):
             geometric_factor_2d((1, 0), 8, Kernel(KernelKind.BOX1D, 8),
@@ -1011,13 +1012,23 @@ def test_lattice_axes_are_permutations_and_use_at_most_the_budget(nsamples, dim,
     assert points.shape[1] == 16 * n and np.all((points >= 0.0) & (points < 1.0))
 
 
-@pytest.mark.parametrize("scale, samples, tasks, points", [
-    # 122 pair offsets at 1,000 samples each, the floor: 512 points apiece
-    (1, 10_000, 122, 62_464),
-    # 39 offsets at 2,564 samples each: 2,048 points apiece
-    (2, 100_000, 39, 79_872),
+def _eval_image(scale):
+    image = Image2D(np.random.default_rng(0).uniform(0.0, 1.0, (16, 16)))
+    return lambda cfg: oracle_eval(image, Kernel(KernelKind.DISC2D, scale), cfg)
+
+
+@pytest.mark.parametrize("evaluate, samples, tasks, points", [
+    # a 16x16 image, disc kernel at scale 1: 122 pair offsets at 1,000
+    # samples each, the floor: 512 points apiece
+    pytest.param(_eval_image(1), 10_000, 122, 62_464, id="1-10000-122-62464"),
+    # at scale 2: 39 offsets at 2,564 samples each: 2,048 points apiece
+    pytest.param(_eval_image(2), 100_000, 39, 79_872, id="2-100000-39-79872"),
+    # the terms of the disc kernel at scale 2 on an 8x8 grid: 38 offsets,
+    # 13 canonical ones at the floor
+    pytest.param(lambda cfg: oracle_terms(Kernel(KernelKind.DISC2D, 2), 8, cfg),
+                 10_000, 13, 6_656, id="terms-2-10000-13-6656"),
 ])
-def test_image_points_are_bounded_by_samples_or_the_task_floor(monkeypatch, scale, samples,
+def test_image_points_are_bounded_by_samples_or_the_task_floor(monkeypatch, evaluate, samples,
                                                                tasks, points):
     budgets, sizes = [], []
 
@@ -1031,9 +1042,7 @@ def test_image_points_are_bounded_by_samples_or_the_task_floor(monkeypatch, scal
 
     monkeypatch.setattr(oracle, "_factor", _factor.__wrapped__)
     monkeypatch.setattr(oracle, "_lattice_mc", counting)
-    image = Image2D(np.random.default_rng(0).uniform(0.0, 1.0, (16, 16)))
-    oracle_eval(image, Kernel(KernelKind.DISC2D, scale),
-                OracleConfig(method="mc", samples=samples, seed=1))
+    evaluate(OracleConfig(method="mc", samples=samples, seed=1))
     assert len(budgets) == tasks and sum(sizes) == points
     assert set(budgets) == {max(1000, samples // tasks)}
     assert sum(sizes) <= max(samples, 1000 * tasks)
