@@ -10,7 +10,6 @@ header line for reproducibility.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import re
 import sys
@@ -214,6 +213,7 @@ def image_from_pgm(arr: np.ndarray) -> Image2D:
 
 
 def _report_header(options: dict) -> str:
+    import hashlib  # loads OpenSSL: only commands that write a header pay for it
     digest = hashlib.sha256(repr(sorted(options.items())).encode("utf-8")).hexdigest()
     return f"# nltv-version={__version__} config-hash={digest[:12]}"
 

@@ -18,11 +18,11 @@ Two methods are available:
   16 N at most its budget, over 16 random shifts drawn from one PCG64DXSM
   stream seeded from (seed, task id); the spread of the 16 shift means gives
   the standard error. Each shift is summed by one thread in chunks of at
-  most 32,768 points, so shifts of 32,768 points or more run on up to one
-  thread per available CPU and the results are the same bit for bit
-  whatever the thread count. An integrand gets one chunk per call and must
-  act element-wise, and each thread holds arrays of that size only: points
-  made once per thread, scratch by ``stencil.per_thread``.
+  most ``stencil.CHUNK`` points, so shifts of ``_THREAD_POINTS`` points or
+  more run on up to one thread per available CPU and the results are the
+  same bit for bit whatever the thread count. An integrand gets one chunk
+  per call and must act element-wise, and each thread holds arrays of that
+  size only: points made once per thread, scratch by ``stencil.per_thread``.
   ``_curve_mc`` samples 1D and 2D curves over the offset u and the point x.
 
 Geometric factors depend only on the relative cell offset. Both dimensions
@@ -40,10 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import stencil
 from .kernels import Kernel, KernelKind, in_reach, offsets_within_reach
 from .schemes_1d import PiecewiseConstant1D, Spline1D
 from .schemes_2d import Image2D, StencilWeights
-from .stencil import Stencil, per_thread
 
 GAUSS = "gauss"
 MONTE_CARLO = "mc"
@@ -56,17 +56,9 @@ _SHIFTS = 16
 # 0.75-1.22 times at 16,384, but 0.55-1.02 times at 32,768, over the 1D and 2D
 # pair factors, the spline curve and a 2D callable
 _THREAD_POINTS = 1 << 15
-# most points per integrand call, a power of two so that it divides every
-# larger lattice: the spline verify at 2e7 samples was slower at 16,384 and
-# took more memory at 65,536
-_CHUNK = 1 << 15
 # lattice coordinates and shifts are integers in units of 2^-53: the shifted
 # point is then exact, and so is its float
 _UNIT = 1 << 53
-# most radial nodes of one array pass of the 2D Gauss pair factor: one pass
-# over every theta panel was no faster for the disc kernel's weights at
-# scale 4 on 64^2, and raised their peak memory from 32 to 56 MB
-_PANEL_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,7 @@ def _lattice_mc(fn, box, nsamples: int, rng: np.random.Generator):
     estimate is the volume times the mean over shifts of the shift's mean
     value, and its standard error that of the shift means.
 
-    Each shift is summed by one thread, in chunks of at most ``_CHUNK``
+    Each shift is summed by one thread, in chunks of at most ``stencil.CHUNK``
     points in order; ``fn`` is called once per chunk on one array per axis,
     reused by its thread for every chunk, and it may overwrite them. Shifts
     of at least ``_THREAD_POINTS`` points run on up to one thread per
@@ -186,9 +178,9 @@ def _lattice_mc(fn, box, nsamples: int, rng: np.random.Generator):
     # modulo 2^64, which keeps every bit below 2^53
     gens = [pow(a, j, n) * (_UNIT // n) for j in range(len(box))]
     shifts = rng.integers(_UNIT, size=(_SHIFTS, len(box))).tolist()
-    size = min(n, _CHUNK)
+    size = min(n, stencil.CHUNK)
     steps = np.arange(size, dtype=np.int64)
-    work = per_thread(np.int64, *[float] * len(box))
+    work = stencil.per_thread(np.int64, *[float] * len(box))
 
     def shift_sum(shift):
         frac, *xs = work(size)
@@ -232,7 +224,7 @@ def _norm_outside(kernel: Kernel):
     (``Kernel.outside``), in ``per_thread`` arrays; the mask is None in 1D,
     where every sampled offset lies in the support. It leaves ``u`` as it
     is."""
-    work = per_thread(float) if kernel.dim == 1 else per_thread(float, float, bool, bool)
+    work = stencil.per_thread(*(float,) if kernel.dim == 1 else (float, float, bool, bool))
 
     def norm_outside(u):
         arrays = work(u[0].size)
@@ -262,7 +254,7 @@ def _singular_split(fn, edges: np.ndarray, p: float) -> list:
     if not 1.0 < p < 2.0:
         return [(fn, edges)]
     b, q = edges[1], 2.0 - p
-    work = per_thread(float)
+    work = stencil.per_thread(float)
 
     def wrapped(v):
         np.maximum(v, 1e-300, out=v)
@@ -305,7 +297,7 @@ def _polar_factor(dx: int, dy: int, h: float, kernel: Kernel, g: int,
     The radial integrand is piecewise polynomial for p = 1, so with panel
     boundaries at every tent knot crossing the inner integral is exact and
     the only error source is the angular quadrature (smooth per panel).
-    Whole theta panels go in blocks of at most ``_PANEL_NODES`` radial nodes
+    Whole theta panels go in blocks of at most ``stencil.CHUNK`` radial nodes
     (7 radial panels of g nodes for each of its g angles a panel): one array
     pass over every angle of a block, with knot crossings outside (0, cap)
     moved to the cap, gives each angle's radial integral. Each panel then
@@ -317,7 +309,7 @@ def _polar_factor(dx: int, dy: int, h: float, kernel: Kernel, g: int,
     for _ in range(theta_split):
         thetas = _refine(thetas)
     th_panels, wt_panels = _panel_nodes(thetas, g)
-    block = max(1, _PANEL_NODES // (7 * g * g))
+    block = max(1, stencil.CHUNK // (7 * g * g))
     total = 0.0
     for first in range(0, len(th_panels), block):
         th = th_panels[first:first + block].ravel()
@@ -438,7 +430,7 @@ def _eval_piecewise_constant(a: np.ndarray, kernel: Kernel,
     sum |a_i - a_{i+o}|^p times the pair factor of the offset."""
     tasks = []
     for off in offsets_within_reach(kernel, a.shape[0]):
-        coeff_sum = Stencil(a.shape, [(off, 1.0)]).value(a, cfg.p)
+        coeff_sum = stencil.Stencil(a.shape, [(off, 1.0)]).value(a, cfg.p)
         if coeff_sum > 0.0:
             tasks.append((_canonical(off), coeff_sum))
     factors = _factors([off for off, _ in tasks], a.shape[0], kernel, cfg)
@@ -520,7 +512,7 @@ def _curve_mc(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     evaluate = (lambda t: func(t, out=t)) if isinstance(func, Spline1D) else func
 
     norm_outside = _norm_outside(kernel)
-    masks = per_thread(bool, bool)
+    masks = stencil.per_thread(bool, bool)
 
     def integrand(*arrays):
         # overwrites every array; y lands in u and the values in the last x
@@ -570,9 +562,9 @@ def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
 
     With ``method="mc"`` the shifts of large budgets run on up to one thread
     per available CPU, and the report does not depend on the thread count.
-    A callable ``f`` gets one chunk of at most 32,768 points per call, maybe
-    on several threads at once: it must act element-wise and keep none of
-    its arrays.
+    A callable ``f`` gets one chunk of at most ``stencil.CHUNK`` points per
+    call, maybe on several threads at once: it must act element-wise and
+    keep none of its arrays.
     """
     if isinstance(f, (PiecewiseConstant1D, Image2D)):
         dim = f.coeffs.ndim

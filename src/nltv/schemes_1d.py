@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stencil import Stencil, per_thread
+from . import stencil
 
 _LN2 = math.log(2.0)
 
@@ -26,16 +26,15 @@ BOX2_TERMS = (((1,), _LN2), ((2,), 0.5 * (1.0 - _LN2)))
 
 # Spline1D evaluation: inputs up to this size go straight to np.interp (its
 # binary search is faster there), larger ones are split into blocks of
-# _INTERP_BLOCK points. The bin margin is safe while n * 3 * 2**-53 stays
+# stencil.CHUNK points. The bin margin is safe while n * 3 * 2**-53 stays
 # well below it, which _INTERP_MAX_BINS guarantees with a factor of three.
 _INTERP_DIRECT_MAX = 1024
-_INTERP_BLOCK = 1 << 15
 _INTERP_MAX_BINS = 1 << 20
 _BIN_MARGIN = 1e-9
 
 
 # the block loop's scratch, kept per thread between calls
-_lookup_work = per_thread(float, float, np.intp, bool, bool)
+_lookup_work = stencil.per_thread(float, float, np.intp, bool, bool)
 
 
 def _as_finite_vector(values, name: str) -> np.ndarray:
@@ -126,9 +125,9 @@ class Spline1D:
         flat_out = out.reshape(-1)
         # far-out points overflow or meet inf; they all take the slow path
         with np.errstate(all="ignore"):
-            for lo in range(0, flat.size, _INTERP_BLOCK):
-                xb = flat[lo:lo + _INTERP_BLOCK]
-                ob = flat_out[lo:lo + _INTERP_BLOCK]
+            for lo in range(0, flat.size, stencil.CHUNK):
+                xb = flat[lo:lo + stencil.CHUNK]
+                ob = flat_out[lo:lo + stencil.CHUNK]
                 wb, fb, jb, sb, eb = _lookup_work(xb.size)
                 # fmax/fmin also map nan to a valid bin, whose integer value
                 # fb keeps as a float: subtracting jb itself would cast it
@@ -191,9 +190,9 @@ def _ordered_sum(a: np.ndarray, terms, tail=None) -> float:
     loop over terms, then cells, then the tail, bit for bit
     (``Stencil.value``'s dot product adds in another order). An overflow
     leaves inf or nan, and a sum that is not finite raises ``ValueError``."""
-    stencil = Stencil(a.shape, terms)
+    st = stencil.Stencil(a.shape, terms)
     with np.errstate(all="ignore"):
-        t = stencil.pair_weights() * np.abs(stencil.gather(a))
+        t = st.pair_weights() * np.abs(st.gather(a))
         if tail is not None:
             t = np.concatenate([t, tail(a)])
         total = float(np.cumsum(t)[-1]) if t.size else 0.0

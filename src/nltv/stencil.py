@@ -43,6 +43,14 @@ def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
+# most elements of one chunked array pass, which sizes per_thread scratch: Monte
+# Carlo points per integrand call (a power of two, dividing every larger lattice:
+# the spline verify at 2e7 samples was slower at 16,384, used more memory at
+# 65,536), Spline1D lookups per block, and radial nodes per 2D Gauss pass (all
+# theta panels in one: no faster, 56 MB peak against 32, disc scale 4 on 64^2)
+CHUNK = 1 << 15
+
+
 def per_thread(*dtypes):
     """A function of ``size`` giving the calling thread one array of that
     size per dtype: views of arrays made on its first call and grown to the

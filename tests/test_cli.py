@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nltv
 from nltv import Image2D, KernelKind, cli, eval_image
 from nltv.cli import (
     InputFormatError,
@@ -70,6 +74,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["eval", "--family", "pc",
                  "--input", str(tmp_path / "nope.csv")]) == 2
+    assert main(["eval", "--family", "image",
+                 "--input", str(tmp_path / "nope.pgm")]) == 2
+    assert capsys.readouterr().err.count("input error") == 2
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
@@ -471,6 +478,19 @@ def test_pgm_header_with_sign_or_underscore_is_an_input_error(tmp_path, capsys,
     assert f"bad {name}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, message", [
+    ("0 2\n255", "byte 3: width must be positive"),
+    ("2 0\n255", "byte 5: height must be positive"),
+    ("2 2\n0", "byte 7: maxval must be positive"),
+    ("2 2\n65536", "maxval 65536 exceeds 65535"),
+], ids=["width", "height", "maxval", "maxval-65536"])
+def test_pgm_header_out_of_range_is_an_input_error(tmp_path, capsys, header, message):
+    img = tmp_path / "img.pgm"
+    img.write_text(f"P2\n{header}\n0 1 2 3\n")
+    assert main(["eval", "--family", "image", "--input", str(img)]) == 2
+    assert capsys.readouterr().err == f"input error: {img}: {message}\n"
+
+
 def test_p2_header_size_is_checked_against_the_pixels(tmp_path, capsys):
     img = tmp_path / "img.pgm"
     img.write_text("P2\n1000000 1000000\n255\n0 1 2 3\n")
@@ -530,7 +550,13 @@ def test_eval_haar_near_the_float_limit_is_finite(capsys):
     assert math.isfinite(float(capsys.readouterr().out))
 
 
-def test_table_haar_golden_values(tmp_path):
+def test_table_haar_golden_values(tmp_path, capsys):
+    # without --out the table goes to stdout
+    out = tmp_path / "small.csv"
+    assert main(["table", "haar", "--kmax", "0", "--nmax", "2"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["table", "haar", "--kmax", "0", "--nmax", "2", "--out", str(out)]) == 0
+    assert printed == out.read_text() and printed.count("\n") == 6
     out = tmp_path / "table.csv"
     assert main(["table", "haar", "--kmax", "2", "--nmax", "8",
                  "--out", str(out)]) == 0
@@ -619,6 +645,10 @@ def test_pgm_output_of_1d_input_fails_before_the_solve(tmp_path, capsys, monkeyp
     assert main(["denoise", "--input", str(sig), "--alpha", "0.1",
                  "--out", str(tmp_path / "x.pgm")]) == 1
     assert "PGM output requires a 2D input" in capsys.readouterr().err
+    assert main(["denoise", "--input", str(sig), "--alpha", "0.1", "--kernel", "disc",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert (capsys.readouterr().err
+            == "usage error: kernel 'disc' is 2D but the input is 1D\n")
 
 
 def test_denoise_non_convergence_exit_code(tmp_path, capsys):
@@ -632,7 +662,7 @@ def test_denoise_non_convergence_exit_code(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
-def test_gamma_command(tmp_path):
+def test_gamma_command(tmp_path, capsys):
     x = np.arange(32) / 32
     d = (x >= 0.5).astype(float) + 0.05 * np.random.default_rng(9).standard_normal(32)
     sig = tmp_path / "d.csv"
@@ -644,6 +674,33 @@ def test_gamma_command(tmp_path):
     assert lines[1] == "scale,l1_distance,iterations,converged"
     scales = [int(line.split(",")[0]) for line in lines[2:]]
     assert scales == [2, 4, 8]
+    assert main(["gamma", "--input", str(sig), "--alpha", "0.004",
+                 "--scales", "2,4,8", "--max-iter", "1", "--out", str(out)]) == 4
+    assert (capsys.readouterr().err
+            == "solver did not converge for at least one scale\n")
+
+
+def test_write_pgm_refuses_other_arrays_and_maxvals(tmp_path):
+    with pytest.raises(ValueError, match="needs a 2D array"):
+        write_pgm(str(tmp_path / "a.pgm"), np.zeros(4))
+    with pytest.raises(ValueError, match=r"maxval must lie in \[1, 65535\]"):
+        write_pgm(str(tmp_path / "b.pgm"), np.zeros((2, 2)), maxval=0)
+
+
+def test_eval_of_a_csv_loads_no_openssl(tmp_path):
+    # hashlib, and with it OpenSSL's _hashlib, is imported only to hash a
+    # report header, which eval does not write
+    sig = tmp_path / "s.csv"
+    sig.write_text("0\n1\n")
+    src = str(Path(nltv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from nltv.cli import main; "
+            f"code = main(['eval', '--family', 'pc', '--input', {str(sig)!r}]); "
+            "print(code, '_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["1", "0", "False"]
 
 
 def test_cli_runs_are_byte_identical(tmp_path):

@@ -65,6 +65,9 @@ def test_kernel_eval_is_total_and_validates():
         kernel_eval(k, (float("nan"),))
     with pytest.raises(ValueError):
         Kernel(KernelKind.BOX1D, 0)
+    # the kind is a KernelKind, not its value
+    with pytest.raises(ValueError, match="unknown kernel kind 'disc'"):
+        Kernel("disc", 3)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -72,6 +72,13 @@ def test_energy_trivial_cases():
         energy([0.0, 1.0, 2.0], data, params_1d(2, alpha=0.1))
     with pytest.raises(ValueError):
         energy([0.2, math.nan, 0.4], data, params)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        energy([0.2, 0.9], data, params)
+    square = DataTerm.of(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="data dimensionality does not match the kernel"):
+        energy(square.data, square, params)
+    with pytest.raises(ValueError, match="the double-width scheme needs n >= 2"):
+        energy([0.5], DataTerm.of([0.5]), params_1d(1, alpha=0.1, kind=KernelKind.BOX1D_WIDE))
 
 
 def test_param_validation():
@@ -95,6 +102,25 @@ def test_param_validation():
                      grid_n=8, scheme=SCHEME_ORACLE)
     with pytest.raises(ValueError):
         DataTerm.of(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="a vector or a square matrix"):
+        DataTerm.of(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="data must be finite"):
+        DataTerm.of([0.0, math.nan])
+    with pytest.raises(ValueError, match="grid_n must be positive"):
+        EnergyParams(p=1.0, alpha=1.0, kernel=Kernel(KernelKind.BOX1D, 4),
+                     grid_n=0, scheme=SCHEME_ORACLE)
+    with pytest.raises(ValueError, match="scheme must be one of"):
+        EnergyParams(p=1.0, alpha=1.0, kernel=Kernel(KernelKind.BOX1D, 4),
+                     grid_n=4, scheme="closed")
+    with pytest.raises(ValueError, match="closed-form 2D scheme needs a matched 2D kernel"):
+        EnergyParams(p=1.0, alpha=1.0, kernel=Kernel(KernelKind.DISC2D, 3),
+                     grid_n=4, scheme=SCHEME_CLOSED_2D)
+    with pytest.raises(ValueError, match="the 2D scheme needs grid_n >= 2"):
+        EnergyParams(p=1.0, alpha=1.0, kernel=Kernel(KernelKind.DISC2D, 1),
+                     grid_n=1, scheme=SCHEME_CLOSED_2D)
+    # a stencil's offsets have the dimension of its grid
+    with pytest.raises(ValueError, match="does not match grid shape"):
+        Stencil((4,), [((1, 0), 1.0)])
 
 
 def test_init_is_the_smooth_solver_start_only():
@@ -103,6 +129,9 @@ def test_init_is_the_smooth_solver_start_only():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(method="smooth", init=np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="init must have the same size as the data"):
+        denoise(DataTerm.of([0.0, 1.0, 0.0]), params_1d(3, alpha=0.1),
+                SolverConfig(method="smooth", init=np.zeros(2)))
 
 
 def test_no_pair_returns_the_data():

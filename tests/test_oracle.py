@@ -25,7 +25,7 @@ from nltv import (
     oracle_eval,
     stencil_weights,
 )
-from nltv import oracle
+from nltv import oracle, stencil
 from nltv.oracle import (
     _factor,
     _factors,
@@ -346,6 +346,12 @@ def test_dimension_and_exponent_errors():
                     OracleConfig(method="gauss", p=3.0))
     with pytest.raises(TypeError):
         oracle_eval("not a function", BOX, OracleConfig(method="gauss"))
+    with pytest.raises(ValueError, match="1D input needs a 1D kernel"):
+        oracle_eval(Spline1D([0.0, 1.0, 0.0]), DISC, OracleConfig(method="gauss"))
+    with pytest.raises(ValueError, match="use Monte Carlo"):
+        oracle_eval(lambda x, y: x, DISC, OracleConfig(method="gauss"))
+    with pytest.raises(ValueError, match="offset must be nonzero"):
+        geometric_factor_2d((0, 0), 8, DISC, OracleConfig(method="gauss"))
     # a pair factor needs a kernel of the offset's dimension
     cfg = OracleConfig(method="gauss")
     with pytest.raises(ValueError, match="kernel"):
@@ -595,9 +601,12 @@ def test_polar_factor_matches_the_per_node_reference(kind, p):
 
 @pytest.mark.parametrize("kind", [KernelKind.DISC2D, KernelKind.SQUARE2D])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5])
-def test_polar_factor_blocks_are_bit_identical_to_the_panel_loop(kind, p):
+def test_polar_factor_blocks_are_bit_identical_to_the_panel_loop(monkeypatch, kind, p):
     # every canonical offset in reach on two grids, several blocks of theta
-    # panels each (the last one partial)
+    # panels each (the last one partial); bounds of 8 and 64 nodes a pass lie
+    # below one panel's 7 g^2, so each block then holds one panel (checked
+    # on the coarser theta split, as the finer one only doubles the panels)
+    bounds = {2: (stencil.CHUNK, 8, 64), 3: (stencil.CHUNK,)}
     for grid, kscale in [(4, 3), (8, 4)]:
         kernel = Kernel(kind, kscale)
         offsets = [off for off in offsets_within_reach(kernel, grid) if off[0] >= off[1] >= 0]
@@ -605,7 +614,10 @@ def test_polar_factor_blocks_are_bit_identical_to_the_panel_loop(kind, p):
             for g in (8, 12):
                 for theta_split in (2, 3):
                     args = (dx, dy, 1.0 / grid, kernel, g, theta_split, p)
-                    assert _polar_factor(*args).hex() == _panel_loop_polar_factor(*args).hex()
+                    ref = _panel_loop_polar_factor(*args).hex()
+                    for chunk in bounds[theta_split]:
+                        monkeypatch.setattr(stencil, "CHUNK", chunk)
+                        assert _polar_factor(*args).hex() == ref
 
 
 # The square kernel's support is a sup-norm ball: it reaches the cell pairs
@@ -703,7 +715,7 @@ def _sequential_lattice(fn, axes, nsamples, rng):
         n *= 2
     a = min(range(1, n + 2, 2), key=lambda c: abs(c - 2.0 * n / (1.0 + math.sqrt(5.0))))
     shifts = rng.integers(2 ** 53, size=(16, len(axes))).tolist()
-    chunk = min(n, oracle._CHUNK)
+    chunk = min(n, stencil.CHUNK)
     sums = []
     for shift in shifts:
         total = 0.0
@@ -944,7 +956,7 @@ def test_cut_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypatch, 
                                                              per, in_place):
     # chunks of 8 points: budgets of 16 x 10, 16, 18 and 42 points a shift
     # give shifts of 8, 16, 16 and 32 points, one, two, two and four chunks
-    monkeypatch.setattr(oracle, "_CHUNK", 8)
+    monkeypatch.setattr(stencil, "CHUNK", 8)
     fn = _in_place(_cos_sum) if in_place else _cos_sum
     for seed, task in [(0, 0), (7, 1024 * 2 + 1), (2 ** 63, 5)]:
         assert (_hex_pair(_lattice_mc(fn, axes, 32 * per, _stream(seed, task)))
@@ -955,7 +967,7 @@ def test_cut_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypatch, 
 def test_sampler_builds_one_stream_per_run(cpus, monkeypatch, per):
     # one stream per task, however many chunks and threads its shifts take:
     # the two pieces of the singular 1D factor share theirs
-    monkeypatch.setattr(oracle, "_CHUNK", 8)
+    monkeypatch.setattr(stencil, "CHUNK", 8)
     built = []
     monkeypatch.setattr(oracle, "_stream", lambda *args: built.append(args) or _stream(*args))
     for evaluate in [
@@ -974,7 +986,7 @@ def test_cut_factors_and_callables_are_bit_identical_to_the_sequential_loop(
     # chunks of 256 points cut the singular factor's shifts of 512 and 1,024
     # points, and leave those of 2, and cut the 1D curves' shifts of 2,048
     # points and the 2D callables' of 1,024
-    monkeypatch.setattr(oracle, "_CHUNK", 256)
+    monkeypatch.setattr(stencil, "CHUNK", 256)
     if p > 1.0:
         test_singular_factor_pieces_are_bit_identical_to_the_sequential_loop(cpus, p)
     _assert_mc_callables_match_the_sequential_loop(p, _CURVES)
@@ -1062,7 +1074,7 @@ def _assert_peak_is_chunks_per_thread(monkeypatch, f, kernel, chunks):
     # chunks): the peak is a few arrays of one chunk per thread, whatever
     # the budget
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    arrays = 2 * oracle._CHUNK * 8
+    arrays = 2 * stencil.CHUNK * 8
     small = _mc_peak(f, kernel, 16 * 250_000)
     large = _mc_peak(f, kernel, 4 * 16 * 250_000)
     assert max(small, large) <= chunks * arrays

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nltv import (
@@ -17,6 +17,7 @@ from nltv import (
     eval_spline,
     oracle_eval,
     schemes_1d,
+    stencil,
 )
 
 LN2 = math.log(2.0)
@@ -222,7 +223,7 @@ def test_spline_call_into_its_input_allocates_nothing_after_the_first():
 
 
 _DIRECT = schemes_1d._INTERP_DIRECT_MAX
-_BLOCK = schemes_1d._INTERP_BLOCK
+_BLOCK = stencil.CHUNK
 
 
 @st.composite
@@ -240,17 +241,23 @@ def _spline_and_points(draw):
         [0.0, -0.0, 1.0, -1e-300, -0.5, -7.0, 1.5, 9.0, 5e-324,
          -1e308, 1e308, -np.inf, np.inf, np.nan],
     ])
+    # the lookup block: shrunken bounds cut every call past _DIRECT points
+    # into blocks, the last of _DIRECT + 1 points holding one point
+    block = draw(st.sampled_from([_BLOCK, 8, 64]))
     size = draw(st.sampled_from([1, 5, _DIRECT, _DIRECT + 1, 3 * _DIRECT,
-                                 _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37]))
+                                 block, block + 1, 2 * block + 37]))
     fill = rng.uniform(-0.2, 1.2, max(size - special.size, 0))
     points = rng.permutation(np.concatenate([special, fill]))
-    return nodes, points, size
+    return nodes, points, size, block
 
 
-@settings(max_examples=60, deadline=None)
-@given(_spline_and_points())
-def test_spline_call_equals_np_interp(case):
-    nodes, points, size = case
+# each example sets the bound afresh, and the fixture restores it at the end
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_spline_and_points())
+def test_spline_call_equals_np_interp(monkeypatch, case):
+    nodes, points, size, block = case
+    monkeypatch.setattr(stencil, "CHUNK", block)
     f = Spline1D(nodes)
     grid = np.linspace(0.0, 1.0, nodes.size)
     expected = np.interp(points, grid, nodes)

@@ -8,6 +8,7 @@ from nltv import (
     Kernel,
     KernelKind,
     OracleConfig,
+    StencilWeights,
     eval_image,
     oracle_eval,
     stencil_weights,
@@ -40,6 +41,8 @@ def test_stencil_weight_examples():
     assert abs(w.diagonal - 1.0 / (12 * math.pi)) < 1e-15
     with pytest.raises(ValueError):
         stencil_weights(KernelKind.SQUARE2D, 1)
+    with pytest.raises(ValueError, match="lateral > diagonal > 0"):
+        StencilWeights(1.0, 2.0)
     w = stencil_weights(KernelKind.SQUARE2D, 2)
     assert abs(w.diagonal - (SQRT2 - 1) / 6) < 1e-15
     expected_lat = (3 * math.log(SQRT2 + 1) - 3 * math.log(SQRT2 - 1)
@@ -69,6 +72,10 @@ def test_eval_image_examples():
         eval_image(Image2D([[1.0]]), KernelKind.DISC2D)
     with pytest.raises(ValueError):
         Image2D(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="at least one cell"):
+        Image2D(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="finite"):
+        Image2D([[0.0, math.inf], [0.0, 0.0]])
     # a difference that overflows is refused, and no numpy warning leaks
     with pytest.raises(ValueError, match="beyond the float range"):
         eval_image(Image2D([[1.7e308, -1.7e308], [0.0, 0.0]]), KernelKind.SQUARE2D)
