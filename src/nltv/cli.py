@@ -17,18 +17,21 @@ import sys
 import numpy as np
 
 from . import __version__
-from .kernels import Kernel, KernelKind
+from .kernels import KINDS_2D, Kernel, KernelKind
 from .minimize import (
+    PD_EXPONENTS,
+    PRIMAL_DUAL,
     SCHEME_CLOSED_1D,
     SCHEME_CLOSED_2D,
     SCHEME_ORACLE,
+    SOLVERS,
     DataTerm,
     EnergyParams,
     SolverConfig,
     denoise,
     gamma_experiment,
 )
-from .oracle import OracleConfig, oracle_eval
+from .oracle import METHODS, OracleConfig, oracle_eval
 from .schemes_1d import (
     HaarIndex,
     PiecewiseConstant1D,
@@ -265,9 +268,6 @@ _FAMILY_FLAGS = {
     "verify": {**dict.fromkeys(_FAMILIES_1D, ()), "image": ("--kernel",)},
 }
 
-# --tol of each solve command when it is not given
-_SOLVE_TOL = {"denoise": 1e-8, "gamma": 1e-10}
-
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nltv", description=__doc__)
@@ -276,7 +276,7 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate a closed-form scheme")
     p_eval.add_argument("--family", required=True, choices=_FAMILY_FLAGS["eval"])
     p_eval.add_argument("--input", help="CSV signal or PGM image")
-    p_eval.add_argument("--kernel", choices=["disc", "square"], help="kernel for --family image")
+    p_eval.add_argument("--kernel", choices=KINDS_2D, help="kernel for --family image")
     p_eval.add_argument("--scale", type=_COUNT, help="kernel scale for --family haar")
     p_eval.add_argument("--k", type=int, help="Haar level")
     p_eval.add_argument("--j", type=int, help="Haar position")
@@ -290,11 +290,11 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify",
                               help="closed form vs oracle on a seeded random input")
     p_verify.add_argument("--family", required=True, choices=_FAMILY_FLAGS["verify"])
-    p_verify.add_argument("--kernel", choices=["disc", "square"])
+    p_verify.add_argument("--kernel", choices=KINDS_2D)
     p_verify.add_argument("--n", type=_at_least(int, 2), required=True, help="grid size")
-    p_verify.add_argument("--samples", type=int, default=100_000)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--method", choices=["mc", "gauss"], default="mc")
+    p_verify.add_argument("--samples", type=int, default=OracleConfig.samples)
+    p_verify.add_argument("--seed", type=int, default=OracleConfig.seed)
+    p_verify.add_argument("--method", choices=METHODS, default=OracleConfig.method)
     p_verify.add_argument("--tol", type=_POSITIVE, default=1e-2,
                           help="relative disagreement threshold")
 
@@ -305,13 +305,13 @@ def build_parser() -> _Parser:
         cmd.add_argument("--alpha", type=_POSITIVE, required=True)
         cmd.add_argument("--p", type=_at_least(float, 1.0), default=1.0)
         cmd.add_argument("--tol", type=_POSITIVE)
-        cmd.add_argument("--max-iter", type=_COUNT, default=100_000)
+        cmd.add_argument("--max-iter", type=_COUNT, default=SolverConfig.max_iter)
         cmd.add_argument("--out", required=True)
     p_den.add_argument("--kernel", choices=[k.value for k in KernelKind],
                        help="default: box for 1D input, disc for 2D input")
     p_den.add_argument("--scale", type=_COUNT,
                        help="kernel scale (default: matched to the grid)")
-    p_den.add_argument("--solver", choices=["pd", "smooth"], default="pd")
+    p_den.add_argument("--solver", choices=SOLVERS, default=SolverConfig.method)
     p_den.add_argument("--trace", help="optional per-iteration energy CSV")
     p_gamma.add_argument("--scales", type=_scale_list, required=True,
                          help="comma-separated increasing kernel scales")
@@ -331,15 +331,15 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError(f"--family {args.family} needs {', '.join(missing)}")
     if args.command == "gamma" and args.p != 1.0:
         raise UsageError("gamma needs --p 1: the kernel-scale sweep is defined for p = 1")
-    if args.command == "denoise" and args.solver == "pd":
-        if args.p not in (1.0, 2.0):
+    if args.command == "denoise" and args.solver == PRIMAL_DUAL:
+        if args.p not in PD_EXPONENTS:
             raise UsageError("--solver pd needs --p 1 or 2; use --solver smooth "
                              "for other exponents")
         if args.p == 2.0 and args.tol is not None:
             raise UsageError("--solver pd --p 2 does not read --tol: it stops on "
                              "its duality gap")
-    if args.command in _SOLVE_TOL and args.tol is None:
-        args.tol = _SOLVE_TOL[args.command]
+    if args.command in ("denoise", "gamma") and args.tol is None:
+        args.tol = SolverConfig.tol if args.command == "denoise" else 1e-10
     return args
 
 
@@ -401,6 +401,14 @@ def _cmd_verify(args) -> int:
     return 0 if rel <= args.tol else 3
 
 
+def _solve_setup(args, **options):
+    """The SolverConfig of a denoise or gamma run and the options its header hashes."""
+    solver = SolverConfig(method=options.get("solver", SolverConfig.method),
+                          tol=args.tol, max_iter=args.max_iter)
+    return solver, {"command": args.command, "input": args.input, "alpha": args.alpha,
+                    "p": args.p, "tol": args.tol, "max_iter": args.max_iter, **options}
+
+
 def _cmd_denoise(args) -> int:
     if args.input.lower().endswith((".pgm", ".pnm")):
         arr, maxval = read_pgm(args.input)
@@ -414,20 +422,13 @@ def _cmd_denoise(args) -> int:
     kernel_name = args.kernel or ("box" if dim == 1 else "disc")
     kernel = Kernel(KernelKind(kernel_name), args.scale or values.shape[0])
     if kernel.dim != dim:
-        raise UsageError(f"kernel {kernel_name!r} is {kernel.dim}D but the "
-                         f"input is {dim}D")
+        raise UsageError(f"kernel {kernel_name!r} is {kernel.dim}D but the input is {dim}D")
     closed = SCHEME_CLOSED_1D if dim == 1 else SCHEME_CLOSED_2D
     scheme = closed if kernel.n == values.shape[0] else SCHEME_ORACLE
-    data = DataTerm.of(values)
     params = EnergyParams(p=args.p, alpha=args.alpha, kernel=kernel,
                           grid_n=values.shape[0], scheme=scheme)
-    solver = SolverConfig(method=args.solver, tol=args.tol,
-                          max_iter=args.max_iter)
-    result = denoise(data, params, solver)
-    options = {"command": "denoise", "input": args.input, "alpha": args.alpha,
-               "p": args.p, "kernel": kernel_name, "scale": kernel.n,
-               "solver": args.solver, "tol": args.tol,
-               "max_iter": args.max_iter}
+    solver, options = _solve_setup(args, kernel=kernel_name, scale=kernel.n, solver=args.solver)
+    result = denoise(DataTerm.of(values), params, solver)
     if pgm_out:
         write_pgm(args.out, result.minimizer, maxval=maxval or 255)
     else:
@@ -444,13 +445,9 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    values = read_signal_csv(args.input)
-    data = DataTerm.of(values)
-    solver = SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    data = DataTerm.of(read_signal_csv(args.input))
+    solver, options = _solve_setup(args, scales=tuple(args.scales))
     rows = gamma_experiment(data, args.p, args.alpha, args.scales, solver)
-    options = {"command": "gamma", "input": args.input, "alpha": args.alpha,
-               "p": args.p, "scales": tuple(args.scales),
-               "tol": args.tol, "max_iter": args.max_iter}
     lines = [_report_header(options), "scale,l1_distance,iterations,converged"]
     for row in rows:
         lines.append(f"{row.scale},{format(row.distance, '.17g')},"

@@ -37,6 +37,7 @@ _DIMS = {
     KernelKind.DISC2D: 2,
     KernelKind.SQUARE2D: 2,
 }
+KINDS_2D = tuple(kind.value for kind, dim in _DIMS.items() if dim == 2)  # an image's kernels
 
 
 @dataclass(frozen=True)

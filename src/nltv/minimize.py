@@ -41,6 +41,10 @@ SCHEME_ORACLE = "oracle"
 
 _SCHEMES = (SCHEME_CLOSED_1D, SCHEME_CLOSED_2D, SCHEME_ORACLE)
 
+PRIMAL_DUAL = "pd"
+SOLVERS = (PRIMAL_DUAL, "smooth")  # the methods of SolverConfig, in the CLI's order
+PD_EXPONENTS = (1.0, 2.0)  # the exponents p that the primal-dual solver handles
+
 ORACLE_POINTS = 12  # Gauss points per cell axis of the oracle scheme's weights
 SMOOTH_EPS = 1e-8  # eps of the smooth solver's |t| ~ sqrt(t^2 + eps^2)
 
@@ -70,14 +74,11 @@ class EnergyParams:
             raise ValueError("grid_n must be positive")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.scheme == SCHEME_CLOSED_1D:
-            if self.kernel.dim != 1 or self.kernel.n != self.grid_n:
-                raise ValueError("closed-form 1D scheme needs a matched 1D kernel")
-        if self.scheme == SCHEME_CLOSED_2D:
-            if self.kernel.dim != 2 or self.kernel.n != self.grid_n:
-                raise ValueError("closed-form 2D scheme needs a matched 2D kernel")
-            if self.grid_n < 2:
-                raise ValueError("the 2D scheme needs grid_n >= 2")
+        dim = {SCHEME_CLOSED_1D: 1, SCHEME_CLOSED_2D: 2}.get(self.scheme)  # None for the oracle
+        if dim and (self.kernel.dim != dim or self.kernel.n != self.grid_n):
+            raise ValueError(f"closed-form {dim}D scheme needs a matched {dim}D kernel")
+        if dim == 2 and self.grid_n < 2:
+            raise ValueError("the 2D scheme needs grid_n >= 2")
         if self.scheme == SCHEME_ORACLE and self.kernel.dim == 1 and self.p >= 2:
             # the nonlocal functional of a discontinuous piecewise constant is
             # infinite from p = 2 on; the closed-form pair structure with p-th
@@ -132,18 +133,18 @@ class SolverConfig:
     (primal-dual p = 2 solves stop on a duality-gap certificate instead).
     ``init`` is the smooth solver's start; ``pd`` starts from the data."""
 
-    method: str = "pd"
+    method: str = PRIMAL_DUAL
     tol: float = 1e-8
     max_iter: int = 100_000
     plateau: int = 5
     init: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.method not in ("pd", "smooth"):
-            raise ValueError("solver method must be 'pd' or 'smooth'")
+        if self.method not in SOLVERS:
+            raise ValueError(f"solver method must be {' or '.join(map(repr, SOLVERS))}")
         if not 0 < self.tol < math.inf or self.max_iter < 1 or self.plateau < 1:
             raise ValueError("solver tolerances must be positive and finite")
-        if self.init is not None and self.method == "pd":
+        if self.init is not None and self.method == PRIMAL_DUAL:
             raise ValueError("the primal-dual solver starts from the data; "
                              "init is the smooth solver's start")
         if self.init is not None and not np.all(np.isfinite(self.init)):
@@ -266,7 +267,7 @@ def _solve(d, stencil: Stencil, total_energy, p, solver: SolverConfig):
         # K = 0 (no pair of the grid, or only zero offsets): the data minimizes
         return d.copy(), [total_energy(d)], 0, True
     tracker = _Tracker(f0, total_energy(f0), solver.tol, solver.plateau)
-    run = _pdhg if solver.method == "pd" else _smoothed_descent
+    run = _pdhg if solver.method == PRIMAL_DUAL else _smoothed_descent
     iterations, converged = run(d, stencil, p, solver, tracker, total_energy)
     return tracker.best, tracker.trace, iterations, converged
 
@@ -405,7 +406,7 @@ def denoise(data: DataTerm, params: EnergyParams,
     :func:`_pdhg`).
     """
     solver = solver if solver is not None else SolverConfig()
-    if solver.method == "pd" and params.p not in (1.0, 2.0):
+    if solver.method == PRIMAL_DUAL and params.p not in PD_EXPONENTS:
         raise ValueError("the primal-dual solver handles p in {1, 2}; "
                          "use the smooth solver for other exponents")
     d, stencil, total_energy = _problem(data, params)

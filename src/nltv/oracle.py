@@ -47,6 +47,7 @@ from .schemes_2d import Image2D, StencilWeights
 
 GAUSS = "gauss"
 MONTE_CARLO = "mc"
+METHODS = (MONTE_CARLO, GAUSS)
 
 _MIN_MC_SAMPLES = 10_000
 # random shifts of the lattice rule, whose spread gives the standard error
@@ -80,7 +81,7 @@ class OracleConfig:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.method not in (GAUSS, MONTE_CARLO):
+        if self.method not in METHODS:
             raise ValueError(f"method must be '{GAUSS}' or '{MONTE_CARLO}'")
         if self.method == MONTE_CARLO and self.samples < _MIN_MC_SAMPLES:
             raise ValueError(f"Monte Carlo needs at least {_MIN_MC_SAMPLES} samples")

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nltv
-from nltv import Image2D, KernelKind, cli, eval_image
+from nltv import Image2D, Kernel, KernelKind, OracleConfig, SolverConfig, cli, eval_image
+from nltv import minimize, oracle
 from nltv.cli import (
     InputFormatError,
     UsageError,
@@ -48,6 +49,64 @@ def test_parse_args_defaults():
     assert parse_args(["denoise", *solve]).tol == 1e-8
     assert parse_args(["gamma", *solve, "--scales", "2"]).tol == 1e-10
     assert parse_args(["denoise", *solve, "--p", "2"]).tol == 1e-8
+
+
+_SOLVE_FLAGS = ["--input", "s.csv", "--alpha", "0.1", "--out", "o.csv"]
+_COMMANDS = {
+    "verify": ["verify", "--family", "pc", "--n", "3"],
+    "denoise": ["denoise", *_SOLVE_FLAGS],
+    "gamma": ["gamma", *_SOLVE_FLAGS, "--scales", "2"],
+}
+_IMAGE_KINDS = tuple(k.value for k in KernelKind if Kernel(k, 1).dim == 2)
+
+
+def _choices(command, flag):
+    sub = next(a for a in cli.build_parser()._actions if a.choices and command in a.choices)
+    return next(a.choices for a in sub.choices[command]._actions if flag in a.option_strings)
+
+
+@pytest.mark.parametrize("command, flag, owner", [
+    ("verify", "samples", OracleConfig.samples),
+    ("verify", "seed", OracleConfig.seed),
+    ("verify", "method", OracleConfig.method),
+    ("denoise", "max_iter", SolverConfig.max_iter),
+    ("gamma", "max_iter", SolverConfig.max_iter),
+    ("denoise", "solver", SolverConfig.method),
+    ("denoise", "tol", SolverConfig.tol),
+])
+def test_parse_args_defaults_read_their_owner(command, flag, owner):
+    assert getattr(parse_args(_COMMANDS[command]), flag) == owner
+
+
+@pytest.mark.parametrize("command, flag, owner", [
+    ("verify", "--method", (oracle.MONTE_CARLO, oracle.GAUSS)),
+    ("denoise", "--solver", minimize.SOLVERS),
+    ("eval", "--kernel", _IMAGE_KINDS),
+    ("verify", "--kernel", _IMAGE_KINDS),
+    ("denoise", "--kernel", tuple(k.value for k in KernelKind)),
+])
+def test_parse_args_choices_read_their_owner(command, flag, owner):
+    assert tuple(_choices(command, flag)) == owner
+
+
+def test_pd_exponents_have_one_owner():
+    assert cli.PD_EXPONENTS is minimize.PD_EXPONENTS
+    for p in minimize.PD_EXPONENTS:
+        assert parse_args([*_COMMANDS["denoise"], "--p", repr(p)]).p == p
+    with pytest.raises(UsageError, match="--solver pd needs --p 1 or 2"):
+        parse_args([*_COMMANDS["denoise"], "--p", "1.5"])
+
+
+def test_parse_args_follows_the_library_defaults(monkeypatch):
+    # the defaults are read when the arguments are parsed, from their owner
+    monkeypatch.setattr(SolverConfig, "max_iter", 321)
+    monkeypatch.setattr(SolverConfig, "tol", 1e-5)
+    monkeypatch.setattr(OracleConfig, "samples", 54_321)
+    assert parse_args(_COMMANDS["denoise"]).max_iter == 321
+    assert parse_args(_COMMANDS["gamma"]).max_iter == 321
+    assert parse_args(_COMMANDS["denoise"]).tol == 1e-5
+    assert parse_args(_COMMANDS["gamma"]).tol == 1e-10  # gamma's own
+    assert parse_args(_COMMANDS["verify"]).samples == 54_321
 
 
 def test_parse_args_rejects_bad_flags():
