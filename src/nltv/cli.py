@@ -17,12 +17,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .kernels import KINDS_2D, Kernel, KernelKind
+from .kernels import DEFAULT_KINDS, KINDS_2D, Kernel, KernelKind
 from .minimize import (
+    CLOSED_SCHEMES,
     PD_EXPONENTS,
     PRIMAL_DUAL,
-    SCHEME_CLOSED_1D,
-    SCHEME_CLOSED_2D,
     SCHEME_ORACLE,
     SOLVERS,
     DataTerm,
@@ -261,7 +260,8 @@ _FAMILIES_1D = {
 }
 
 # the family flags that each eval and verify --family reads; parse_args
-# refuses the others and requires each one read but --kernel (unset: disc)
+# refuses the others and requires each one read but --kernel (unset: the 2D
+# default kind)
 _FAMILY_FLAGS = {
     "eval": {**dict.fromkeys(_FAMILIES_1D, ("--input",)),
              "haar": ("--k", "--j", "--scale"), "image": ("--input", "--kernel")},
@@ -308,7 +308,8 @@ def build_parser() -> _Parser:
         cmd.add_argument("--max-iter", type=_COUNT, default=SolverConfig.max_iter)
         cmd.add_argument("--out", required=True)
     p_den.add_argument("--kernel", choices=[k.value for k in KernelKind],
-                       help="default: box for 1D input, disc for 2D input")
+                       help=f"default: {DEFAULT_KINDS[1].value} for 1D input, "
+                            f"{DEFAULT_KINDS[2].value} for 2D input")
     p_den.add_argument("--scale", type=_COUNT,
                        help="kernel scale (default: matched to the grid)")
     p_den.add_argument("--solver", choices=SOLVERS, default=SolverConfig.method)
@@ -352,7 +353,8 @@ def _cmd_eval(args) -> int:
         value = eval_haar(HaarIndex(k=args.k, j=args.j), args.scale)
     elif args.family == "image":
         arr, _ = read_pgm(args.input)
-        value = eval_image(image_from_pgm(arr), KernelKind(args.kernel or "disc"))
+        kind = KernelKind(args.kernel or DEFAULT_KINDS[2].value)
+        value = eval_image(image_from_pgm(arr), kind)
     else:
         element, closed, _, _ = _FAMILIES_1D[args.family]
         value = closed(element(read_signal_csv(args.input)))
@@ -383,7 +385,7 @@ def _verify_input(args):
     rng = np.random.default_rng(args.seed)
     if args.family == "image":
         img = Image2D(rng.uniform(0.0, 1.0, (args.n, args.n)))
-        kind = KernelKind(args.kernel or "disc")
+        kind = KernelKind(args.kernel or DEFAULT_KINDS[2].value)
         return img, Kernel(kind, args.n), eval_image(img, kind)
     element, closed, kind, extra = _FAMILIES_1D[args.family]
     f = element(rng.uniform(0.0, 1.0, args.n + extra))
@@ -419,12 +421,11 @@ def _cmd_denoise(args) -> int:
     pgm_out = args.out.lower().endswith((".pgm", ".pnm"))
     if pgm_out and dim != 2:
         raise UsageError("PGM output requires a 2D input")
-    kernel_name = args.kernel or ("box" if dim == 1 else "disc")
+    kernel_name = args.kernel or DEFAULT_KINDS[dim].value
     kernel = Kernel(KernelKind(kernel_name), args.scale or values.shape[0])
     if kernel.dim != dim:
         raise UsageError(f"kernel {kernel_name!r} is {kernel.dim}D but the input is {dim}D")
-    closed = SCHEME_CLOSED_1D if dim == 1 else SCHEME_CLOSED_2D
-    scheme = closed if kernel.n == values.shape[0] else SCHEME_ORACLE
+    scheme = CLOSED_SCHEMES[dim] if kernel.n == values.shape[0] else SCHEME_ORACLE
     params = EnergyParams(p=args.p, alpha=args.alpha, kernel=kernel,
                           grid_n=values.shape[0], scheme=scheme)
     solver, options = _solve_setup(args, kernel=kernel_name, scale=kernel.n, solver=args.solver)

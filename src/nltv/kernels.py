@@ -38,6 +38,8 @@ _DIMS = {
     KernelKind.SQUARE2D: 2,
 }
 KINDS_2D = tuple(kind.value for kind, dim in _DIMS.items() if dim == 2)  # an image's kernels
+# the kernel of a 1D or 2D grid where none is named
+DEFAULT_KINDS = {1: KernelKind.BOX1D, 2: KernelKind.DISC2D}
 
 
 @dataclass(frozen=True)

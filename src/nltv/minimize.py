@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import Kernel, KernelKind, kpn
+from .kernels import DEFAULT_KINDS, Kernel, KernelKind, kpn
 from .oracle import GAUSS, OracleConfig, oracle_terms
 from .schemes_1d import BOX2_TERMS, BOX_TERMS
 from .schemes_2d import stencil_weights
@@ -38,8 +38,10 @@ from .stencil import Stencil, blocked_dot
 SCHEME_CLOSED_1D = "closed_form_1d"
 SCHEME_CLOSED_2D = "closed_form_2d"
 SCHEME_ORACLE = "oracle"
+# the closed-form scheme of each grid dimension
+CLOSED_SCHEMES = {1: SCHEME_CLOSED_1D, 2: SCHEME_CLOSED_2D}
 
-_SCHEMES = (SCHEME_CLOSED_1D, SCHEME_CLOSED_2D, SCHEME_ORACLE)
+_SCHEMES = (*CLOSED_SCHEMES.values(), SCHEME_ORACLE)
 
 PRIMAL_DUAL = "pd"
 SOLVERS = (PRIMAL_DUAL, "smooth")  # the methods of SolverConfig, in the CLI's order
@@ -74,7 +76,7 @@ class EnergyParams:
             raise ValueError("grid_n must be positive")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        dim = {SCHEME_CLOSED_1D: 1, SCHEME_CLOSED_2D: 2}.get(self.scheme)  # None for the oracle
+        dim = {s: d for d, s in CLOSED_SCHEMES.items()}.get(self.scheme)  # None for the oracle
         if dim and (self.kernel.dim != dim or self.kernel.n != self.grid_n):
             raise ValueError(f"closed-form {dim}D scheme needs a matched {dim}D kernel")
         if dim == 2 and self.grid_n < 2:
@@ -495,7 +497,7 @@ def gamma_experiment(data: DataTerm, p: float, alpha: float, n_list,
     if scales[0] < 1 or scales[-1] > data.grid_n:
         raise ValueError("kernel scales must lie in [1, grid resolution]")
     dim = data.data.ndim
-    kind = KernelKind.BOX1D if dim == 1 else KernelKind.DISC2D
+    kind = DEFAULT_KINDS[dim]
     results = []
     for scale in scales:
         params = EnergyParams(p=p, alpha=alpha, kernel=Kernel(kind, scale),

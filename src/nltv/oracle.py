@@ -17,13 +17,15 @@ Two methods are available:
   ``_lattice_mc``. A task sums one lattice of N points, N a power of two with
   16 N at most its budget, over 16 random shifts drawn from one PCG64DXSM
   stream seeded from (seed, task id); the spread of the 16 shift means gives
-  the standard error. Each shift is summed by one thread in chunks of at
-  most ``stencil.CHUNK`` points, so shifts of ``_THREAD_POINTS`` points or
-  more run on up to one thread per available CPU and the results are the
-  same bit for bit whatever the thread count. An integrand gets one chunk
-  per call and must act element-wise, and each thread holds arrays of that
-  size only: points made once per thread, scratch by ``stencil.per_thread``.
-  ``_curve_mc`` samples 1D and 2D curves over the offset u and the point x.
+  the standard error. Each shift is summed by one process in chunks of at
+  most ``stencil.CHUNK`` points, so shifts of ``_FORK_POINTS`` points or
+  more run on up to one process per available CPU, the calling one and
+  ``os.fork`` children, and the results are the same bit for bit whatever
+  the process count. An integrand gets one chunk per call, may run in a
+  forked child and must act element-wise; what it mutates there is lost.
+  Each process holds arrays of one chunk only: points made once per task,
+  scratch by ``stencil.per_thread``. ``_curve_mc`` samples 1D and 2D curves
+  over the offset u and the point x.
 
 Geometric factors depend only on the relative cell offset. Both dimensions
 share one cached pair factor, ``_factor``, keyed by the canonical offset
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -52,11 +55,12 @@ METHODS = (MONTE_CARLO, GAUSS)
 _MIN_MC_SAMPLES = 10_000
 # random shifts of the lattice rule, whose spread gives the standard error
 _SHIFTS = 16
-# points per shift from which the shifts are spread over threads: on a 2-CPU
-# host two threads took 0.72-1.82 times as long as one at 8,192 points and
-# 0.75-1.22 times at 16,384, but 0.55-1.02 times at 32,768, over the 1D and 2D
-# pair factors, the spline curve and a 2D callable
-_THREAD_POINTS = 1 << 15
+# points per shift from which the shifts are spread over processes: on a 2-CPU
+# host, over the 1D and 2D pair factors, the spline curve and a 2D callable,
+# two processes took 0.66-1.46 times as long as one at 32,768 points (medians
+# per case) and 0.56-0.88 times at 65,536; fork, exit and wait alone took
+# 2.3-3.7 ms after importing the CLI
+_FORK_POINTS = 1 << 16
 # lattice coordinates and shifts are integers in units of 2^-53: the shifted
 # point is then exact, and so is its float
 _UNIT = 1 << 53
@@ -164,14 +168,15 @@ def _lattice_mc(fn, box, nsamples: int, rng: np.random.Generator):
     estimate is the volume times the mean over shifts of the shift's mean
     value, and its standard error that of the shift means.
 
-    Each shift is summed by one thread, in chunks of at most ``stencil.CHUNK``
-    points in order; ``fn`` is called once per chunk on one array per axis,
-    reused by its thread for every chunk, and it may overwrite them. Shifts
-    of at least ``_THREAD_POINTS`` points run on up to one thread per
-    available CPU, so ``fn`` may be called from several threads at once;
-    smaller ones run on one. The shift sums are combined in shift order, so
-    the thread count does not change the result. Returns the estimate and
-    its standard error.
+    Each shift is summed by one process, in chunks of at most
+    ``stencil.CHUNK`` points in order; ``fn`` is called once per chunk on one
+    array per axis, reused for every chunk, and it may overwrite them.
+    Shifts of at least ``_FORK_POINTS`` points run on up to one process per
+    available CPU (``_forked_map``), so ``fn`` may run in a forked child,
+    where the state it mutates is lost; smaller ones, and every call while
+    other Python threads are alive, run in the calling thread. The shift sums
+    are combined in shift order, so the process count does not change the
+    result. Returns the estimate and its standard error.
     """
     n = 1 << max(0, (nsamples // _SHIFTS).bit_length() - 1)
     a = 2 * round((n * (math.sqrt(5.0) - 1.0) / 2.0 - 1.0) / 2.0) + 1  # nearest N / phi
@@ -191,29 +196,99 @@ def _lattice_mc(fn, box, nsamples: int, rng: np.random.Generator):
                 np.multiply(steps, z, out=frac)
                 frac += (k0 * z + d) % _UNIT
                 frac &= _UNIT - 1
-                np.multiply(frac, (hi - lo) / _UNIT, out=x)
-                x += lo
+                # the cast is exact below 2^53, and x + 0.0 is x
+                x[...] = frac
+                x *= (hi - lo) / _UNIT
+                if lo:
+                    x += lo
             total += float(fn(*xs).sum())
         return total
 
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if n < _THREAD_POINTS or cpus == 1:
+    # os.fork in a process with other threads can leave a lock held in the
+    # child; Linux reports the CPUs this process may run on
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
+                  _SHIFTS)
+    if n < _FORK_POINTS or workers == 1 or threading.active_count() > 1:
         sums = [shift_sum(shift) for shift in shifts]
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(cpus, _SHIFTS)) as pool:
-            sums = list(pool.map(shift_sum, shifts))  # re-raises a shift's error
+        sums = _forked_map(shift_sum, shifts, workers)
     means = np.array(sums) / n
     vol = float(math.prod(hi - lo for lo, hi in box))
     return vol * float(means.mean()), vol * float(means.std(ddof=1)) / math.sqrt(_SHIFTS)
 
 
+def _forked_map(fn, items: list, workers: int) -> list:
+    """``[fn(x) for x in items]`` for a float-valued ``fn``, the items cut
+    into ``workers`` contiguous runs: this process maps the first, and one
+    ``os.fork`` child each of the others, which sends its floats (or its
+    pickled error) down a pipe and ends in ``os._exit``. Every child is
+    reaped before this returns or raises: an error here, an interrupt
+    included, kills them first, and a child's error is raised here with its
+    type and message."""
+    cuts = [len(items) * i // workers for i in range(workers + 1)]
+    runs = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    pids, pipes = [], []
+    try:
+        for run in runs[1:]:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _child(fn, run, write)
+            finally:
+                os.close(write)
+        values = [fn(x) for x in runs[0]]
+        replies = [pipe.read() for pipe in pipes]
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for run, reply in zip(runs[1:], replies):
+        if reply[:1] == b"e":
+            import pickle
+
+            raise pickle.loads(reply[1:])
+        if len(reply) != 1 + 8 * len(run):
+            raise RuntimeError("a Monte Carlo worker process ended without a result")
+        values += np.frombuffer(reply, offset=1).tolist()
+    return values
+
+
+def _child(fn, run: list, fd: int):
+    """The body of a ``_forked_map`` child: writes b"v" and the float64
+    values of ``fn`` over ``run``, or b"e" and the pickled error, to the pipe
+    ``fd``, and ends the process without returning."""
+    try:
+        try:
+            reply = b"v" + np.array([fn(x) for x in run], dtype=float).tobytes()
+        except BaseException as exc:
+            import pickle
+
+            try:
+                reply = b"e" + pickle.dumps(exc)
+                pickle.loads(reply[1:])
+            except Exception:
+                # an error that does not survive pickling goes as its text
+                reply = b"e" + pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(fd, "wb") as pipe:
+            pipe.write(reply)
+    finally:
+        os._exit(0)
+
+
 def _tent(t: np.ndarray, d: int, h: float) -> np.ndarray:
     """Correlation length of two cells of width h at index distance d,
     computed in place: overwrites and returns the float array ``t``."""
-    t -= d * h
+    if d:
+        t -= d * h
     np.abs(t, out=t)
     np.subtract(h, t, out=t)
     return np.maximum(t, 0.0, out=t)
@@ -365,7 +440,8 @@ def _factor(offset: tuple, grid_n: int, kind: KernelKind, kernel_n: int, method:
         # overwrites every array of u
         norm, outside = norm_outside(u)
         np.maximum(norm, 1e-300, out=norm)
-        norm **= p
+        if p != 1:  # x ** 1.0 is x
+            norm **= p
         vals = _tent(u[0], offset[0], h)
         vals *= 2.0 * kernel.height
         for ua, o in zip(u[1:], offset[1:]):
@@ -530,11 +606,13 @@ def _curve_mc(func, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
             np.clip(y, 0.0, 1.0, out=y)
         vals = np.subtract(evaluate(*x), evaluate(*u), out=x[-1])
         np.abs(vals, out=vals)
-        vals **= cfg.p
+        if cfg.p != 1:  # x ** 1.0 is x
+            vals **= cfg.p
         vals *= kernel.height
         off = np.logical_not(ok, out=tmp)
         norm[off] = 1.0
-        norm **= cfg.p
+        if cfg.p != 1:
+            norm **= cfg.p
         vals /= norm
         vals[off] = 0.0
         return vals
@@ -561,11 +639,13 @@ def oracle_eval(f, kernel: Kernel, cfg: OracleConfig) -> EvalReport:
     :class:`Image2D`, or a vectorized callable on Omega (one positional array
     argument in 1D, two in 2D). The kernel dimension must match the input.
 
-    With ``method="mc"`` the shifts of large budgets run on up to one thread
-    per available CPU, and the report does not depend on the thread count.
-    A callable ``f`` gets one chunk of at most ``stencil.CHUNK`` points per
-    call, maybe on several threads at once: it must act element-wise and
-    keep none of its arrays.
+    With ``method="mc"`` the shifts of large budgets run on up to one process
+    per available CPU, this one and ``os.fork`` children that end before
+    this returns or raises, and the report does not depend on the process
+    count. A callable ``f`` gets one chunk of at most ``stencil.CHUNK`` points
+    per call and may run in a forked child: it must act element-wise, keep
+    none of its arrays, and the state it mutates in a child is lost. Calls
+    made while other Python threads are alive fork nothing.
     """
     if isinstance(f, (PiecewiseConstant1D, Image2D)):
         dim = f.coeffs.ndim

@@ -141,8 +141,9 @@ class Spline1D:
                 sb |= np.greater_equal(wb, 1.0 - _BIN_MARGIN, out=eb)
                 # ob may be xb itself, so the slow points are copied first
                 x_slow = xb[sb] if sb.any() else None
-                # every bin is valid, and take buffers ``out`` unless it clips
-                np.subtract(xb, np.take(grid, jb, out=wb, mode="clip"), out=wb)
+                # grid[j] is j * (1 / n), as np.linspace makes it; every bin
+                # is valid, and take buffers ``out`` unless it clips
+                np.subtract(xb, np.multiply(fb, 1.0 / n, out=wb), out=wb)
                 np.multiply(np.take(slopes, jb, out=ob, mode="clip"), wb, out=ob)
                 ob += np.take(nodes, jb, out=wb, mode="clip")
                 if x_slow is not None:

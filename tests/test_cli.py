@@ -97,6 +97,22 @@ def test_pd_exponents_have_one_owner():
         parse_args([*_COMMANDS["denoise"], "--p", "1.5"])
 
 
+def test_default_kernels_and_closed_schemes_have_one_owner(monkeypatch, capsys):
+    from nltv import kernels
+
+    assert cli.DEFAULT_KINDS is minimize.DEFAULT_KINDS is kernels.DEFAULT_KINDS
+    assert cli.CLOSED_SCHEMES is minimize.CLOSED_SCHEMES
+    assert minimize.CLOSED_SCHEMES == {1: minimize.SCHEME_CLOSED_1D,
+                                       2: minimize.SCHEME_CLOSED_2D}
+    # an image read with no --kernel, and the denoise help, follow the owner
+    monkeypatch.setitem(kernels.DEFAULT_KINDS, 2, KernelKind.SQUARE2D)
+    args = parse_args(["verify", "--family", "image", "--n", "4"])
+    assert cli._verify_input(args)[1] == Kernel(KernelKind.SQUARE2D, 4)
+    with pytest.raises(SystemExit):
+        main(["denoise", "--help"])
+    assert "square for 2D input" in " ".join(capsys.readouterr().out.split())
+
+
 def test_parse_args_follows_the_library_defaults(monkeypatch):
     # the defaults are read when the arguments are parsed, from their owner
     monkeypatch.setattr(SolverConfig, "max_iter", 321)

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -793,10 +794,11 @@ def _old_callable_mc_2d(func, kernel, cfg):
 
 @pytest.fixture(params=[1, 2, 4], ids=lambda c: f"{c}cpu")
 def cpus(request, monkeypatch):
-    """The number of CPUs the sampler sees, and so its thread count: every
-    budget is spread over threads, however few points its shifts have."""
+    """The number of CPUs the sampler sees, and so its process count: every
+    budget is spread over forked processes, however few points its shifts
+    have."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
-    monkeypatch.setattr(oracle, "_THREAD_POINTS", 0)
+    monkeypatch.setattr(oracle, "_FORK_POINTS", 0)
     return request.param
 
 
@@ -882,50 +884,120 @@ def test_mc_callables_are_bit_identical_to_the_sequential_loop(cpus, p):
         p, (*_CURVES, lambda x: float(x.max())))
 
 
+def _counted_forks(monkeypatch):
+    # the list of os.fork calls that the test makes from here on
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def _assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_small_budgets_run_on_the_calling_thread(monkeypatch):
-    callers = set()
-    main = threading.get_ident()
-
-    def record(x):
-        callers.add(threading.get_ident())
-        return x
-
+    forks = _counted_forks(monkeypatch)
     # shifts of half the threshold on four CPUs and of many chunks on one run
-    # on the calling thread; shifts at the threshold on 64 CPUs take at most
-    # one thread per shift
-    for cpus, points in [(4, oracle._THREAD_POINTS // 2), (1, 1 << 20),
-                         (64, oracle._THREAD_POINTS)]:
+    # here; shifts at the threshold fork one child for every CPU but this
+    # one's, at most one per shift
+    for cpus, points, children in [(4, oracle._FORK_POINTS // 2, 0), (1, 1 << 20, 0),
+                                   (4, oracle._FORK_POINTS, 3),
+                                   (64, oracle._FORK_POINTS, oracle._SHIFTS - 1)]:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        callers.clear()
-        _lattice_mc(record, [(0.0, 1.0)], 16 * points, _stream(1, 2))
-        if cpus == 64:
-            assert main not in callers and len(callers) <= oracle._SHIFTS
-        else:
-            assert callers == {main}
+        forks.clear()
+        _lattice_mc(np.sin, [(0.0, 1.0)], 16 * points, _stream(1, 2))
+        assert len(forks) == children
+    _assert_no_child_is_left()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-
-    def func(x):
-        callers.add(threading.get_ident())
-        return np.sin(3.0 * x)
-
-    def func_2d(x, y):
-        callers.add(threading.get_ident())
-        return x * y
-
     # a curve's lattice has N points, 16 N at most the budget: the default
     # budget, the last budget below the threshold and the first one at it
     square = Kernel(KernelKind.SQUARE2D, 8)
-    first = 16 * oracle._THREAD_POINTS
-    for f, kernel, samples, on_main in [
-            (func, BOX, OracleConfig().samples, True),
-            (func, BOX, first - 1, True),
-            (func, BOX, first, False),
-            (func_2d, square, OracleConfig().samples, True),
-            (func_2d, square, first - 1, True),
-            (func_2d, square, first, False)]:
-        callers.clear()
+    first = 16 * oracle._FORK_POINTS
+    for f, kernel, samples, children in [
+            (np.sin, BOX, OracleConfig().samples, 0),
+            (np.sin, BOX, first - 1, 0),
+            (np.sin, BOX, first, 3),
+            (lambda x, y: x * y, square, OracleConfig().samples, 0),
+            (lambda x, y: x * y, square, first - 1, 0),
+            (lambda x, y: x * y, square, first, 3)]:
+        forks.clear()
         oracle_eval(f, kernel, OracleConfig(method="mc", samples=samples, seed=1))
-        assert (callers == {main}) if on_main else (main not in callers)
+        assert len(forks) == children
+    _assert_no_child_is_left()
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@pytest.mark.parametrize("error, raised, message", [
+    (ValueError("a bad chunk in a child"), ValueError, "a bad chunk in a child"),
+    (KeyboardInterrupt(), KeyboardInterrupt, None),
+    # an error that does not pickle arrives as its type name and message
+    (_Unpicklable("kept as text"), RuntimeError, "_Unpicklable: kept as text"),
+])
+def test_a_child_error_reaches_the_caller_and_no_child_outlives_the_call(
+        monkeypatch, error, raised, message):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(oracle, "_FORK_POINTS", 0)
+    forks = _counted_forks(monkeypatch)
+    caller = os.getpid()
+
+    def fails_in_a_child(x):
+        if os.getpid() != caller:
+            raise error
+        return x
+
+    with pytest.raises(raised, match=message):
+        _lattice_mc(fails_in_a_child, [(0.0, 1.0)], 16 * 64, _stream(1, 2))
+    assert len(forks) == 3
+    _assert_no_child_is_left()
+
+
+@pytest.mark.parametrize("error", [ValueError("a bad chunk here"), KeyboardInterrupt()])
+def test_an_error_in_the_caller_kills_and_reaps_every_child(monkeypatch, error):
+    # the children would sleep 20 s for each shift; the caller fails at once
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(oracle, "_FORK_POINTS", 0)
+    forks = _counted_forks(monkeypatch)
+    caller = os.getpid()
+
+    def fails_here(x):
+        if os.getpid() == caller:
+            raise error
+        time.sleep(20.0)
+        return x
+
+    start = time.monotonic()
+    with pytest.raises(type(error)):
+        _lattice_mc(fails_here, [(0.0, 1.0)], 16 * 64, _stream(1, 2))
+    assert len(forks) == 3 and time.monotonic() - start < 10.0
+    _assert_no_child_is_left()
+
+
+def test_a_call_from_a_second_thread_forks_nothing_and_gives_the_same_bits(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(oracle, "_FORK_POINTS", 0)
+    forks = _counted_forks(monkeypatch)
+    spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129))
+    cfg = OracleConfig(method="mc", samples=16 * 4096, seed=1)
+
+    def evaluate():
+        report = oracle_eval(spline, Kernel(KernelKind.BOX1D, 128), cfg)
+        return _hex_pair((report.value, report.stderr_estimate))
+
+    here = evaluate()
+    assert len(forks) == 3
+    forks.clear()
+    there = []
+    thread = threading.Thread(target=lambda: there.append(evaluate()))
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive() and there == [here] and forks == []
+    _assert_no_child_is_left()
 
 
 def test_a_callable_that_runs_the_oracle_gets_other_arrays(cpus):
@@ -965,7 +1037,7 @@ def test_cut_sampler_is_bit_identical_to_the_sequential_loop(cpus, monkeypatch, 
 
 @pytest.mark.parametrize("per", [8, 9, 40], ids=lambda n: f"per{n}")
 def test_sampler_builds_one_stream_per_run(cpus, monkeypatch, per):
-    # one stream per task, however many chunks and threads its shifts take:
+    # one stream per task, however many chunks and processes its shifts take:
     # the two pieces of the singular 1D factor share theirs
     monkeypatch.setattr(stencil, "CHUNK", 8)
     built = []
@@ -1069,12 +1141,12 @@ def _mc_peak(f, kernel, samples):
         tracemalloc.stop()
 
 
-def _assert_peak_is_chunks_per_thread(monkeypatch, f, kernel, chunks):
-    # two threads, at budgets of 4 and 16 million points (shifts of 4 and 16
-    # chunks): the peak is a few arrays of one chunk per thread, whatever
-    # the budget
+def _assert_peak_is_chunks_per_process(monkeypatch, f, kernel, chunks):
+    # two CPUs, at budgets of 4 and 16 million points (shifts of 4 and 16
+    # chunks): the calling process's peak is a few arrays of one chunk,
+    # whatever the budget; the forked child's memory is its own
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    arrays = 2 * stencil.CHUNK * 8
+    arrays = stencil.CHUNK * 8
     small = _mc_peak(f, kernel, 16 * 250_000)
     large = _mc_peak(f, kernel, 4 * 16 * 250_000)
     assert max(small, large) <= chunks * arrays
@@ -1082,19 +1154,19 @@ def _assert_peak_is_chunks_per_thread(monkeypatch, f, kernel, chunks):
 
 
 def test_spline_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
-    # two point arrays, their integer scratch, the lattice steps shared by
-    # the threads, the values, |u| and the lookup's scratch: 8.3 to 8.4
-    # chunk arrays per thread seen
+    # two point arrays, their integer scratch, the lattice steps, the
+    # values, |u|, and on the process's first lookup the lookup's scratch:
+    # 5.3 to 8.6 chunk arrays seen
     spline = Spline1D(np.random.default_rng(2).uniform(0.0, 1.0, 129))
-    _assert_peak_is_chunks_per_thread(monkeypatch, spline, Kernel(KernelKind.BOX1D, 128), 9)
+    _assert_peak_is_chunks_per_process(monkeypatch, spline, Kernel(KernelKind.BOX1D, 128), 9)
 
 
 def test_callable_2d_mc_peak_memory_is_a_few_arrays_per_thread(monkeypatch):
-    # four point arrays, their integer scratch, the shared lattice steps, the
-    # values, the norm and the callable's own temporaries: 11.1 chunk arrays
-    # per thread seen
-    _assert_peak_is_chunks_per_thread(monkeypatch, lambda x, y: np.sin(3 * x) + y * y,
-                                      Kernel(KernelKind.SQUARE2D, 8), 12)
+    # four point arrays, their integer scratch, the lattice steps, the
+    # values, the norm and the callable's own temporaries: 11.6 chunk arrays
+    # seen
+    _assert_peak_is_chunks_per_process(monkeypatch, lambda x, y: np.sin(3 * x) + y * y,
+                                       Kernel(KernelKind.SQUARE2D, 8), 12)
 
 
 def _second_call_peak(fn, draws):
